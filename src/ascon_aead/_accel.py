@@ -1,10 +1,13 @@
-"""Optional compiled bulk kernel (C through ctypes); resolved lazily by aead.
+"""Optional compiled kernel (C through ctypes); resolved lazily by aead.
 
-The plain-Python permutation stays the reference path and handles every
-input when the kernel cannot be built or loaded.  The kernel, `_accel.c`,
-is the same round function on machine words, fused across whole blocks,
-and is pinned to the reference path bit-for-bit by the test suite.  Like
-the reference path it never branches on or indexes by state-derived values.
+When it loads, aead runs every permutation and every whole AD or data
+block through it.  The plain-Python permutation stays the reference path
+and handles every input when the kernel cannot be built or loaded.  The
+kernel, `_accel.c`, is the same round function on machine words, alone
+(`permute`) and fused across whole blocks (`absorb_blocks`,
+`encrypt_blocks`, `decrypt_blocks`), and is pinned to the reference path
+bit-for-bit by the test suite.  Like the reference path it never branches
+on or indexes by state-derived values.
 
 Only the standard library and the system C compiler (`cc`) are needed.  On
 first use the source is compiled into a cache keyed by a hash of the
@@ -22,7 +25,6 @@ import hashlib
 import os
 import shutil
 import stat
-import subprocess
 import sysconfig
 import tempfile
 import threading
@@ -41,7 +43,7 @@ _COMPILE_TIMEOUT_S = 120
 #: Why the kernel could not be built or loaded; None until load() fails.
 UNAVAILABLE_REASON: str | None = None
 
-_duplex = None  # the bound C function, once load() has succeeded
+_duplex = _permute = None  # the bound C functions, once load() has succeeded
 _lock = threading.Lock()
 
 
@@ -57,23 +59,26 @@ def load() -> bool:
     dynamic loader rejects.  Their reason is kept in UNAVAILABLE_REASON.
     Anything else is a fault and propagates.
     """
-    global _duplex, UNAVAILABLE_REASON
+    global _duplex, _permute, UNAVAILABLE_REASON
     with _lock:
         if _duplex is None and UNAVAILABLE_REASON is None:
             try:
-                _duplex = _bind(_library())
+                _duplex, _permute = _bind(_library())
             except _Unavailable as exc:
                 UNAVAILABLE_REASON = str(exc)
         return _duplex is not None
 
 
 def _bind(path: Path):
+    """(ascon_duplex, ascon_permute) from the library at `path`, with their signatures."""
     try:
-        fn = ctypes.CDLL(str(path)).ascon_duplex
+        lib = ctypes.CDLL(str(path))
     except OSError as exc:
         raise _Unavailable(f"cannot load {path}: {exc}") from exc
-    fn.argtypes = (
-        ctypes.POINTER(ctypes.c_uint64),
+    duplex, permute_ = lib.ascon_duplex, lib.ascon_permute
+    words = ctypes.POINTER(ctypes.c_uint64)
+    duplex.argtypes = (
+        words,
         ctypes.c_void_p,
         ctypes.c_void_p,
         ctypes.c_size_t,
@@ -81,8 +86,9 @@ def _bind(path: Path):
         ctypes.c_uint,
         ctypes.c_uint,
     )
-    fn.restype = None
-    return fn
+    permute_.argtypes = (words, ctypes.c_uint)
+    duplex.restype = permute_.restype = None
+    return duplex, permute_
 
 
 def _library() -> Path:
@@ -133,6 +139,8 @@ def _compile(target: Path) -> None:
     the directory is not writable and _Unavailable when there is no
     compiler or the compile fails.
     """
+    import subprocess  # only a compile needs it; loading a cached library does not
+
     fd, tmp = tempfile.mkstemp(prefix=f"{target.stem}-", suffix=".tmp", dir=target.parent)
     os.close(fd)
     try:
@@ -159,35 +167,55 @@ def _compile(target: Path) -> None:
             os.unlink(tmp)
 
 
-def _run(state: State, data: bytes, rate: int, rounds: int, mode: int):
-    """Run the C loop over whole blocks; returns (new state, output buffer or None)."""
-    if rate not in (8, 16) or rounds not in VALID_ROUNDS or len(data) % rate:
-        raise ValueError(
-            f"need rate 8 or 16, rounds in {VALID_ROUNDS} and whole blocks;"
-            f" got rate {rate}, rounds {rounds}, {len(data)} bytes"
-        )
-    if not load():
+def _require_kernel() -> None:
+    if _duplex is None and not load():
         raise RuntimeError(f"compiled kernel unavailable: {UNAVAILABLE_REASON}")
-    data = bytes(data)
+
+
+def permute(state: State, rounds: int = 12) -> State:
+    """permutation.permute on the kernel: `rounds` (6, 8 or 12) rounds of `state`."""
+    if rounds not in VALID_ROUNDS:
+        raise ValueError(f"round count must be one of {VALID_ROUNDS}, got {rounds}")
+    _require_kernel()
+    # A fresh buffer per call: ctypes releases the GIL, so threads run this at once.
     words = (ctypes.c_uint64 * 5)(*state)
+    _permute(words, rounds)
+    return State(*words)
+
+
+def _run(state: State, data: bytes, rate: int, rounds: int, mode: int):
+    """Run the C loop over the whole blocks at the front of `data`.
+
+    Returns (new state, output buffer or None).  A trailing partial block
+    is left to the caller: it does not touch the state, and its bytes in
+    the output buffer, which is len(data) bytes long, stay zero.
+    """
+    if rate not in (8, 16) or rounds not in VALID_ROUNDS:
+        raise ValueError(
+            f"need rate 8 or 16 and rounds in {VALID_ROUNDS}; got rate {rate}, rounds {rounds}"
+        )
+    _require_kernel()
     out = None if mode == _ABSORB else ctypes.create_string_buffer(len(data))
-    _duplex(words, data, out, len(data) // rate, rate, rounds, mode)
+    blocks = len(data) // rate
+    if not blocks:  # nothing to run; spare the state's trip through ctypes
+        return state, out
+    if not isinstance(data, bytes):
+        data = bytes(data)
+    words = (ctypes.c_uint64 * 5)(*state)
+    _duplex(words, data, out, blocks, rate, rounds, mode)
     return State(*words), out
 
 
 def absorb_blocks(state: State, data: bytes, rate: int, rounds: int) -> State:
+    """Absorb each whole block of `data`, permuting after every one."""
     return _run(state, data, rate, rounds, _ABSORB)[0]
 
 
-def encrypt_blocks(
-    state: State, data: bytes, rate: int, rounds: int
-) -> tuple[State, bytes]:
-    state, out = _run(state, data, rate, rounds, _ENCRYPT)
-    return state, out.raw
+def encrypt_blocks(state: State, data: bytes, rate: int, rounds: int):
+    """Encrypt the whole blocks of `data`; returns (state, writable ctypes buffer of len(data))."""
+    return _run(state, data, rate, rounds, _ENCRYPT)
 
 
-def decrypt_blocks(
-    state: State, data: bytes, rate: int, rounds: int
-) -> tuple[State, bytes]:
-    state, out = _run(state, data, rate, rounds, _DECRYPT)
-    return state, out.raw
+def decrypt_blocks(state: State, data: bytes, rate: int, rounds: int):
+    """Decrypt the whole blocks of `data`; returns (state, writable ctypes buffer of len(data))."""
+    return _run(state, data, rate, rounds, _DECRYPT)

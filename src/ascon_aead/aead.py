@@ -8,6 +8,10 @@ The phase functions are exposed individually (they are pure State -> State
 transformers) so the trace tooling and tests can pin intermediate states;
 `encrypt` and `decrypt` compose them.
 
+When the optional compiled kernel (`_accel`) loads, it runs every
+permutation and every whole AD or data block; otherwise the plain-Python
+permutation and per-block loops here do, and they stay the reference.
+
 Nonces must never repeat under the same key: encryption is deterministic,
 and a repeated (key, nonce) pair forfeits confidentiality.  The library
 does not and cannot detect reuse.
@@ -22,17 +26,13 @@ from __future__ import annotations
 import hmac
 from dataclasses import dataclass
 
+from . import permutation
 from .codec import bytes_from_word, pad_10star, word_from_bytes, xor_bytes
-from .permutation import State, permute
+from .permutation import State
 
 KEY_BYTES = 16
 NONCE_BYTES = 16
 TAG_BYTES = 16
-
-# Data phases hand inputs of at least this many rate-blocks to the optional
-# compiled kernel.  Shorter inputs, every record of the bundled KAT files
-# among them, run on the plain permutation, the reference path.
-_ACCEL_MIN_BLOCKS = 32
 
 _accel_backend = None  # not probed yet; becomes the module or False
 
@@ -91,6 +91,18 @@ def _get_accel():
     return _accel_backend or None
 
 
+def permute(state: State, rounds: int = 12) -> State:
+    """The permutation every phase calls: the kernel's when it loads, else the reference.
+
+    Phases look this name up at call time, so a stand-in set on the module
+    (a counter, a tracer) sees every permutation they run one at a time.
+    """
+    accel = _get_accel()
+    if accel is None:
+        return permutation.permute(state, rounds)
+    return accel.permute(state, rounds)
+
+
 def _rate_of(state: State, rate: int) -> bytes:
     """The rate portion of the state as bytes (s0, or s0 || s1 for rate 16)."""
     if rate == 8:
@@ -140,7 +152,7 @@ def process_associated_data(state: State, params: VariantParams, ad: bytes) -> S
     if ad:
         rate, rounds = params.rate_bytes, params.rounds_b
         padded = pad_10star(ad, rate)
-        accel = _get_accel() if len(padded) >= _ACCEL_MIN_BLOCKS * rate else None
+        accel = _get_accel()
         if accel is not None:
             state = accel.absorb_blocks(state, padded, rate, rounds)
         else:
@@ -157,23 +169,22 @@ def encrypt_data(
 
     A permutation runs between blocks but not after the last one, and the
     output is cut to |plaintext|, so the padding never reaches the wire.
+    Only the final, partial (possibly empty) block is padded.
     """
     rate, rounds = params.rate_bytes, params.rounds_b
-    padded = pad_10star(plaintext, rate)
-    split = len(padded) - rate  # the final block gets no trailing permutation
-    out = bytearray()
-    accel = _get_accel() if split >= _ACCEL_MIN_BLOCKS * rate else None
+    split = len(plaintext) - len(plaintext) % rate  # whole blocks, each permuted after
+    accel = _get_accel()
     if accel is not None:
-        state, body = accel.encrypt_blocks(state, padded[:split], rate, rounds)
-        out += body
+        state, out = accel.encrypt_blocks(state, plaintext, rate, rounds)
     else:
+        out = bytearray(len(plaintext))
         for off in range(0, split, rate):
-            state = _absorb(state, padded[off : off + rate], rate)
-            out += _rate_of(state, rate)
+            state = _absorb(state, plaintext[off : off + rate], rate)
+            out[off : off + rate] = _rate_of(state, rate)
             state = permute(state, rounds)
-    state = _absorb(state, padded[split:], rate)
-    out += _rate_of(state, rate)
-    return state, bytes(out[: len(plaintext)])
+    state = _absorb(state, pad_10star(plaintext[split:], rate), rate)
+    out[split:] = _rate_of(state, rate)[: len(plaintext) - split]
+    return state, bytes(out)
 
 
 def decrypt_data(
@@ -189,20 +200,19 @@ def decrypt_data(
     """
     rate, rounds = params.rate_bytes, params.rounds_b
     split = len(ciphertext) - len(ciphertext) % rate
-    out = bytearray()
-    accel = _get_accel() if split >= _ACCEL_MIN_BLOCKS * rate else None
+    accel = _get_accel()
     if accel is not None:
-        state, body = accel.decrypt_blocks(state, ciphertext[:split], rate, rounds)
-        out += body
+        state, out = accel.decrypt_blocks(state, ciphertext, rate, rounds)
     else:
+        out = bytearray(len(ciphertext))
         for off in range(0, split, rate):
             block = ciphertext[off : off + rate]
-            out += xor_bytes(_rate_of(state, rate), block)
+            out[off : off + rate] = xor_bytes(_rate_of(state, rate), block)
             state = _overwrite_rate(state, block, rate)
             state = permute(state, rounds)
     tail = ciphertext[split:]
     exposed = _rate_of(state, rate)
-    out += xor_bytes(exposed[: len(tail)], tail)
+    out[split:] = xor_bytes(exposed[: len(tail)], tail)
     repadded = tail + bytes([exposed[len(tail)] ^ 0x80]) + exposed[len(tail) + 1 :]
     state = _overwrite_rate(state, repadded, rate)
     return state, bytes(out)

@@ -28,9 +28,19 @@ def phase_fixtures():
 
 @pytest.fixture
 def pure_path(monkeypatch):
-    """Force the plain-Python block loops even where the compiled kernel loads."""
+    """Force the plain-Python permutation and block loops even where the compiled kernel loads."""
     monkeypatch.setattr(aead, "_accel_backend", False)
 
 
 def accel_available() -> bool:
     return aead._get_accel() is not None
+
+
+@pytest.fixture(params=["pure", "kernel"])
+def backend(request, monkeypatch):
+    """Run the test once on the reference path and once on the compiled kernel."""
+    if request.param == "pure":
+        monkeypatch.setattr(aead, "_accel_backend", False)
+    elif not accel_available():
+        pytest.skip("the compiled C kernel could not be built or loaded")
+    return request.param

@@ -1,10 +1,14 @@
 """The implementation-bug catalogue as injectable mutants.
 
-Each entry patches one deliberate bug into the live modules (monkeypatch
-style) so tests can prove the KAT suite catches that whole bug class.  The
-`detected_by` count is the earliest KAT record whose CT field must diverge:
-1 for bugs visible with empty inputs, 2 (the first record with non-empty
-associated data) for the AD-phase bug.
+Each BUG_MUTANTS entry patches one deliberate bug into the live Python
+modules (monkeypatch style) so tests can prove the KAT suite catches that
+whole bug class on the reference path.  The `detected_by` count is the
+earliest KAT record whose CT field must diverge: 1 for bugs visible with
+empty inputs, 2 (the first record with non-empty associated data) for the
+AD-phase bug.
+
+KERNEL_MUTANTS carries the three permutation bug classes into the compiled
+kernel as edits of its C source, which a test builds and loads.
 """
 
 from __future__ import annotations
@@ -105,4 +109,18 @@ BUG_MUTANTS = {
     "extra permutation on last data block": (_extra_last_block_permutation, 1),
     "missing permutation after final AD block": (_missing_final_ad_permutation, 2),
     "missing domain separator": (_missing_domain_separator, 1),
+}
+
+
+#: name -> (text in _accel.c, its replacement); every match is replaced.
+KERNEL_MUTANTS = {
+    "wrong round constants": (
+        "x2 ^= (uint64_t)(((0xF - r) << 4) | r);",
+        "x2 ^= (uint64_t)(r + 1);",
+    ),
+    "left instead of right rotation": (
+        "#define ROTR(x, n) (((x) >> (n)) | ((x) << (64 - (n))))",
+        "#define ROTR(x, n) (((x) << (n)) | ((x) >> (64 - (n))))",
+    ),
+    "missing linear-layer input XOR": ("^= ROTR(", "= ROTR("),
 }

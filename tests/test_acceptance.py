@@ -26,8 +26,8 @@ def _ok(name: str, detail: str) -> None:
     print(f"ACCEPTANCE {name}: PASS ({detail})")
 
 
-def test_1_kat_equivalence(kat_records):
-    """Both official vector files, both directions, bit-exact."""
+def test_1_kat_equivalence(kat_records, backend):
+    """Both official vector files, both directions, bit-exact, on each backend."""
     start = time.perf_counter()
     totals = []
     for name, params in PARAMS.items():
@@ -37,7 +37,7 @@ def test_1_kat_equivalence(kat_records):
         totals.append(report.passed)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"KAT runtime {elapsed:.1f}s exceeds 10s budget"
-    _ok("1 KAT equivalence", f"{sum(totals)} checks, {elapsed:.2f}s")
+    _ok("1 KAT equivalence", f"{sum(totals)} checks on {backend}, {elapsed:.2f}s")
 
 
 def test_2_randomized_round_trip():
@@ -70,8 +70,9 @@ def test_3_sbox_oracle():
     _ok("3 S-box oracle", f"1000 states, {elapsed:.2f}s")
 
 
-def test_4_forgery_sweep():
-    """Every single-bit flip across nonce, ad, ciphertext, and tag is rejected."""
+def test_4_forgery_sweep(backend):
+    """Every single-bit flip across nonce, ad, ciphertext, and tag is rejected,
+    on each backend."""
     rng = random.Random(0xF046E)
     start = time.perf_counter()
     grand_total = 0
@@ -98,12 +99,13 @@ def test_4_forgery_sweep():
         grand_total += total
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"forgery sweep runtime {elapsed:.1f}s exceeds 10s budget"
-    _ok("4 forgery sweep", f"{grand_total} flips rejected, {elapsed:.2f}s")
+    _ok("4 forgery sweep", f"{grand_total} flips rejected on {backend}, {elapsed:.2f}s")
 
 
-def test_5_bug_ledger_mutants(kat_records, monkeypatch):
+def test_5_bug_ledger_mutants(kat_records, pure_path):
     """All seven catalogued bug classes are caught by record 1 or the first
-    non-empty-AD record."""
+    non-empty-AD record.  The mutants patch the Python modules, so they run
+    on the reference path; the kernel's own mutants are in test_kat.py."""
     head = kat_records["ascon128"][:2]
     detected = 0
     for name, (apply_bug, earliest) in sorted(BUG_MUTANTS.items()):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ascon_aead import aead
+from ascon_aead import aead, permutation
 from ascon_aead.aead import (
     ASCON_128,
     ASCON_128A,
@@ -104,7 +104,7 @@ class TestAssociatedData:
         out = process_associated_data(state, params, b"")
         assert out == state._replace(s4=state.s4 ^ 1)
 
-    def test_full_block_ad_permutes_twice(self, monkeypatch):
+    def test_full_block_ad_permutes_twice(self, monkeypatch, pure_path):
         calls = []
         real = permute
 
@@ -297,11 +297,60 @@ class TestAcceleratedPath:
             assert fast == slow, f"paths diverge at size {size}"
             assert decrypt(params, key, nonce, ad, *fast) == pt
 
+    @given(words=st.lists(st.integers(0, 2**64 - 1), min_size=5, max_size=5),
+           rounds=st.sampled_from((6, 8, 12)))
+    @settings(max_examples=200, deadline=None)
+    def test_permute_matches_reference(self, words, rounds):
+        from ascon_aead import _accel
+
+        state = State(*words)
+        assert _accel.permute(state, rounds) == permutation.permute(state, rounds)
+
+    def test_permute_rejects_other_round_counts(self):
+        from ascon_aead import _accel
+
+        for rounds in (0, 5, 13):
+            with pytest.raises(ValueError):
+                _accel.permute(State(1, 2, 3, 4, 5), rounds)
+
     @BOTH
-    def test_kernels_pass_kat_subset(self, params, kat_records, monkeypatch):
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_aead_matches_reference_around_block_edges(self, params, data):
+        # AD and PT lengths of 0-4 blocks, and one byte either side
+        r = params.rate_bytes
+        lengths = sorted({max(0, n * r + d) for n in range(5) for d in (-1, 0, 1)})
+        sized = st.sampled_from(lengths).flatmap(lambda n: st.binary(min_size=n, max_size=n))
+        key, nonce, ad, pt = data.draw(keys), data.draw(keys), data.draw(sized), data.draw(sized)
+        fast = encrypt(params, key, nonce, ad, pt)
+        assert decrypt(params, key, nonce, ad, *fast) == pt
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(aead, "_accel_backend", False)
+            assert encrypt(params, key, nonce, ad, pt) == fast
+            assert decrypt(params, key, nonce, ad, *fast) == pt
+
+    def test_threads_get_their_own_state_buffers(self):
+        # ctypes releases the GIL, so calls from threads overlap in C; a
+        # buffer shared between calls would hand one thread another's state
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from ascon_aead import _accel
+
+        states = [State(i, ~i & permutation.MASK64, 3 * i, i << 7, 5) for i in range(400)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                fast = list(pool.map(lambda s: _accel.permute(s, 12), states, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert fast == [permutation.permute(s, 12) for s in states]
+
+    @BOTH
+    def test_kernels_pass_kat_subset(self, params, kat_records):
         from ascon_aead.kat import run_kat
 
-        monkeypatch.setattr(aead, "_ACCEL_MIN_BLOCKS", 1)
         name = "ascon128" if params is ASCON_128 else "ascon128a"
         subset = kat_records[name][::37]
         report = run_kat(subset, params)
@@ -319,6 +368,7 @@ class TestAcceleratedPath:
         monkeypatch.setattr(_accel, "_CACHE_DIR", blocker / "__pycache__")
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         monkeypatch.setattr(_accel, "_duplex", None)
+        monkeypatch.setattr(_accel, "_permute", None)
         monkeypatch.setattr(_accel, "UNAVAILABLE_REASON", None)
         assert _accel.load(), _accel.UNAVAILABLE_REASON
         private = tmp_path / f"ascon-aead-{os.getuid()}"
@@ -326,6 +376,7 @@ class TestAcceleratedPath:
         assert private.stat().st_mode & 0o777 == 0o700
         state = State(1, 2, 3, 4, 5)
         assert _accel.absorb_blocks(state, bytes(8), 8, 12) == permute(state, 12)
+        assert _accel.permute(state, 12) == permute(state, 12)
 
 
 @pytest.mark.parametrize(
@@ -341,9 +392,9 @@ def test_kernel_fallback_keeps_pure_path_and_reason(
     monkeypatch.setattr(_accel, "_CACHE_DIR", tmp_path)
     monkeypatch.setattr(_accel, "_COMPILER", compiler)
     monkeypatch.setattr(_accel, "_duplex", None)
+    monkeypatch.setattr(_accel, "_permute", None)
     monkeypatch.setattr(_accel, "UNAVAILABLE_REASON", None)
     monkeypatch.setattr(aead, "_accel_backend", None)
-    monkeypatch.setattr(aead, "_ACCEL_MIN_BLOCKS", 1)
     subset = kat_records["ascon128"][::37]
     report = run_kat(subset, ASCON_128)
     assert report.failed == 0

@@ -1,10 +1,12 @@
 import pytest
 
+from ascon_aead import _accel, aead
 from ascon_aead.aead import ASCON_128, ASCON_128A
 from ascon_aead.codec import hex_encode
 from ascon_aead.kat import KatParseError, KatRecord, parse_kat_file, run_kat
 
-from mutants import BUG_MUTANTS
+from conftest import accel_available
+from mutants import BUG_MUTANTS, KERNEL_MUTANTS
 from oracles import serialize_records
 
 WELL_FORMED = """\
@@ -163,10 +165,11 @@ class TestRunKat:
 
 class TestBugLedgerMutants:
     """Every catalogued implementation bug must be caught by the first KAT
-    record it can affect."""
+    record it can affect.  The mutants patch the Python modules, so they
+    run on the reference path."""
 
     @pytest.mark.parametrize("name", sorted(BUG_MUTANTS))
-    def test_mutant_is_detected(self, name, kat_records, monkeypatch):
+    def test_mutant_is_detected(self, name, kat_records, monkeypatch, pure_path):
         apply_bug, earliest = BUG_MUTANTS[name]
         head = kat_records["ascon128"][:2]
         assert run_kat(head, ASCON_128).failed == 0, "sanity: clean build passes"
@@ -178,11 +181,36 @@ class TestBugLedgerMutants:
         ), f"mutant {name!r} missed by record {earliest}"
 
     @pytest.mark.parametrize("name", sorted(BUG_MUTANTS))
-    def test_mutant_detected_on_128a_too(self, name, kat_records, monkeypatch):
+    def test_mutant_detected_on_128a_too(self, name, kat_records, monkeypatch, pure_path):
         apply_bug, _ = BUG_MUTANTS[name]
         head = kat_records["ascon128a"][:2]
         apply_bug(monkeypatch)
         assert run_kat(head, ASCON_128A).failed > 0
+
+
+@pytest.mark.skipif(
+    not accel_available(), reason="the compiled C kernel could not be built or loaded"
+)
+@pytest.mark.parametrize("name", sorted(KERNEL_MUTANTS))
+def test_kernel_mutant_is_detected(name, kat_records, monkeypatch, tmp_path):
+    """A permutation bug compiled into the kernel fails KAT record 1."""
+    original, replacement = KERNEL_MUTANTS[name]
+    source = _accel._SOURCE.read_text()
+    assert original in source, f"mutant {name!r} no longer matches _accel.c"
+    mutated = tmp_path / "_accel.c"
+    mutated.write_text(source.replace(original, replacement))
+    # build and load the mutated source through the real loader, from scratch
+    monkeypatch.setattr(_accel, "_SOURCE", mutated)
+    monkeypatch.setattr(_accel, "_CACHE_DIR", tmp_path / "cache")
+    monkeypatch.setattr(_accel, "_duplex", None)
+    monkeypatch.setattr(_accel, "_permute", None)
+    monkeypatch.setattr(_accel, "UNAVAILABLE_REASON", None)
+    monkeypatch.setattr(aead, "_accel_backend", None)
+    report = run_kat(kat_records["ascon128"][:2], ASCON_128)
+    assert aead._accel_backend is _accel, _accel.UNAVAILABLE_REASON
+    assert any(
+        f.count == 1 and f.direction == "encrypt" for f in report.failures
+    ), f"kernel mutant {name!r} missed by record 1"
 
 
 def test_record_1_matches_published_value(kat_records):
