@@ -1,12 +1,13 @@
-/* The permutation and a whole-block duplex loop for ASCON-128 and ASCON-128a.
+/* ASCON-128 and ASCON-128a encryption and decryption, one message per call.
  *
- * _accel.py compiles this file on first use and calls ascon_permute and
- * ascon_duplex through ctypes.  The round function is the one in
- * permutation.py, on machine words; ascon_duplex fuses it across whole rate
- * blocks.  Words are loaded and stored big-endian with byte shifts, so the
- * result does not depend on the host's byte order.  The only branches are
- * on loop counters and on the public mode and rate; nothing branches on, or
- * indexes memory by, state or data.
+ * _accel.py compiles this file on first use and calls ascon_aead through
+ * ctypes.  ascon_aead is a compiled copy of the four phases in aead.py,
+ * which stay the reference; the round function is the one in
+ * permutation.py, on machine words, and ascon_duplex fuses it across whole
+ * rate blocks.  Words are loaded and stored big-endian with byte shifts, so
+ * the result does not depend on the host's byte order.  The only branches
+ * are on loop counters and on the public lengths, mode and rate; nothing
+ * branches on, or indexes memory by, key, state or data.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -74,13 +75,6 @@ static inline void permute(uint64_t s[5], unsigned rounds)
     s[4] = x4;
 }
 
-/* The exported permutation.  ascon_duplex calls permute() itself, which
- * the compiler inlines into its block loop (~10% faster than a call). */
-void ascon_permute(uint64_t s[5], unsigned rounds)
-{
-    permute(s, rounds);
-}
-
 /* Absorb, encrypt or decrypt `blocks` whole blocks of `rate` bytes (8 or 16)
  * from `in`, running a `rounds`-round permutation after every block.
  * `s` holds the five state words and is updated in place.  Encrypt writes
@@ -88,8 +82,8 @@ void ascon_permute(uint64_t s[5], unsigned rounds)
  * XOR the ciphertext block, then overwrites the rate with that block.
  * Absorb writes nothing, and `out` may be NULL.
  */
-void ascon_duplex(uint64_t s[5], const unsigned char *in, unsigned char *out,
-                  size_t blocks, unsigned rate, unsigned rounds, unsigned mode)
+static void ascon_duplex(uint64_t s[5], const unsigned char *in, unsigned char *out,
+                         size_t blocks, unsigned rate, unsigned rounds, unsigned mode)
 {
     const size_t words = rate / 8;
     for (size_t b = 0; b < blocks; b++) {
@@ -107,4 +101,67 @@ void ascon_duplex(uint64_t s[5], const unsigned char *in, unsigned char *out,
         }
         permute(s, rounds);
     }
+}
+
+/* The final `n` bytes (0 <= n < rate) as one block padded with 10*:
+ * absorbed, encrypted or decrypted as ascon_duplex does a whole block, but
+ * with no permutation after it.  Decrypt overwrites only the first `n`
+ * bytes of the rate and XORs the padding byte in after them.
+ */
+static void duplex_tail(uint64_t s[5], const unsigned char *in, unsigned char *out,
+                        size_t n, unsigned rate, unsigned mode)
+{
+    unsigned char r[16];
+    for (unsigned j = 0; j < rate / 8; j++)
+        store64(r + 8 * j, s[j]);
+    for (size_t i = 0; i < n; i++) {
+        if (mode == DECRYPT) {
+            out[i] = r[i] ^ in[i];
+            r[i] = in[i];
+        } else {
+            r[i] ^= in[i];
+            if (mode == ENCRYPT)
+                out[i] = r[i];
+        }
+    }
+    r[n] ^= 0x80;
+    for (unsigned j = 0; j < rate / 8; j++)
+        s[j] = load64(r + 8 * j);
+}
+
+/* Encrypt (mode ENCRYPT) or decrypt (mode DECRYPT) one message: `len`
+ * bytes from `in` to `out`, with `adlen` bytes of associated data.  `key`
+ * and `nonce` are 16 bytes each; `tag` receives the 16-byte tag computed
+ * over the message, which a decrypting caller compares with the one it
+ * received.  `rate` is 8 or 16 and the round counts are 6, 8 or 12; the
+ * caller checks all of this.
+ */
+void ascon_aead(unsigned mode, unsigned rate, unsigned rounds_a, unsigned rounds_b,
+                uint64_t iv, const unsigned char *key, const unsigned char *nonce,
+                const unsigned char *ad, size_t adlen, const unsigned char *in,
+                unsigned char *out, size_t len, unsigned char *tag)
+{
+    const uint64_t k1 = load64(key), k2 = load64(key + 8);
+    const size_t ad_split = adlen - adlen % rate, split = len - len % rate;
+    uint64_t s[5] = {iv, k1, k2, load64(nonce), load64(nonce + 8)};
+
+    permute(s, rounds_a);
+    s[3] ^= k1;
+    s[4] ^= k2;
+
+    if (adlen) {
+        ascon_duplex(s, ad, NULL, adlen / rate, rate, rounds_b, ABSORB);
+        duplex_tail(s, ad + ad_split, NULL, adlen - ad_split, rate, ABSORB);
+        permute(s, rounds_b);
+    }
+    s[4] ^= 1;
+
+    ascon_duplex(s, in, out, len / rate, rate, rounds_b, mode);
+    duplex_tail(s, in + split, out + split, len - split, rate, mode);
+
+    s[rate / 8] ^= k1;
+    s[rate / 8 + 1] ^= k2;
+    permute(s, rounds_a);
+    store64(tag, s[3] ^ k1);
+    store64(tag + 8, s[4] ^ k2);
 }

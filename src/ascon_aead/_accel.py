@@ -1,13 +1,12 @@
 """Optional compiled kernel (C through ctypes); resolved lazily by aead.
 
-When it loads, aead runs every permutation and every whole AD or data
-block through it.  The plain-Python permutation stays the reference path
-and handles every input when the kernel cannot be built or loaded.  The
-kernel, `_accel.c`, is the same round function on machine words, alone
-(`permute`) and fused across whole blocks (`absorb_blocks`,
-`encrypt_blocks`, `decrypt_blocks`), and is pinned to the reference path
-bit-for-bit by the test suite.  Like the reference path it never branches
-on or indexes by state-derived values.
+When it loads, aead.encrypt and aead.decrypt run each whole message through
+it in one call (`encrypt`, `decrypt`).  The four phase functions of aead
+stay the reference path and handle every input when the kernel cannot be
+built or loaded.  The kernel, `_accel.c`, is a compiled copy of those
+phases over the same round function on machine words, and is pinned to the
+reference path bit-for-bit by the test suite.  Like the reference path it
+never branches on or indexes by secret values.
 
 Only the standard library and the system C compiler (`cc`) are needed.  On
 first use the source is compiled into a cache keyed by a hash of the
@@ -30,9 +29,7 @@ import tempfile
 import threading
 from pathlib import Path
 
-from .permutation import VALID_ROUNDS, State
-
-_ABSORB, _ENCRYPT, _DECRYPT = 0, 1, 2
+_ENCRYPT, _DECRYPT = 1, 2
 
 _SOURCE = Path(__file__).with_name("_accel.c")
 _COMPILER = "cc"
@@ -43,7 +40,8 @@ _COMPILE_TIMEOUT_S = 120
 #: Why the kernel could not be built or loaded; None until load() fails.
 UNAVAILABLE_REASON: str | None = None
 
-_duplex = _permute = None  # the bound C functions, once load() has succeeded
+_aead = None  # the bound C function, once load() has succeeded
+_Tag = ctypes.c_char * 16
 _lock = threading.Lock()
 
 
@@ -59,36 +57,28 @@ def load() -> bool:
     dynamic loader rejects.  Their reason is kept in UNAVAILABLE_REASON.
     Anything else is a fault and propagates.
     """
-    global _duplex, _permute, UNAVAILABLE_REASON
+    global _aead, UNAVAILABLE_REASON
     with _lock:
-        if _duplex is None and UNAVAILABLE_REASON is None:
+        if _aead is None and UNAVAILABLE_REASON is None:
             try:
-                _duplex, _permute = _bind(_library())
+                _aead = _bind(_library())
             except _Unavailable as exc:
                 UNAVAILABLE_REASON = str(exc)
-        return _duplex is not None
+        return _aead is not None
 
 
 def _bind(path: Path):
-    """(ascon_duplex, ascon_permute) from the library at `path`, with their signatures."""
+    """ascon_aead from the library at `path`, with its signature."""
     try:
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
         raise _Unavailable(f"cannot load {path}: {exc}") from exc
-    duplex, permute_ = lib.ascon_duplex, lib.ascon_permute
-    words = ctypes.POINTER(ctypes.c_uint64)
-    duplex.argtypes = (
-        words,
-        ctypes.c_void_p,
-        ctypes.c_void_p,
-        ctypes.c_size_t,
-        ctypes.c_uint,
-        ctypes.c_uint,
-        ctypes.c_uint,
-    )
-    permute_.argtypes = (words, ctypes.c_uint)
-    duplex.restype = permute_.restype = None
-    return duplex, permute_
+    fn = lib.ascon_aead
+    uint, buf, size = ctypes.c_uint, ctypes.c_char_p, ctypes.c_size_t
+    # mode, rate, rounds_a, rounds_b, iv, key, nonce, ad, adlen, in, out, len, tag
+    fn.argtypes = (uint,) * 4 + (ctypes.c_uint64, buf, buf, buf, size, buf, buf, size, buf)
+    fn.restype = None
+    return fn
 
 
 def _library() -> Path:
@@ -167,55 +157,32 @@ def _compile(target: Path) -> None:
             os.unlink(tmp)
 
 
-def _require_kernel() -> None:
-    if _duplex is None and not load():
-        raise RuntimeError(f"compiled kernel unavailable: {UNAVAILABLE_REASON}")
+def _run(mode: int, params, key: bytes, nonce: bytes, ad: bytes, data: bytes):
+    """One ascon_aead call; returns (output buffer of len(data), tag buffer).
 
-
-def permute(state: State, rounds: int = 12) -> State:
-    """permutation.permute on the kernel: `rounds` (6, 8 or 12) rounds of `state`."""
-    if rounds not in VALID_ROUNDS:
-        raise ValueError(f"round count must be one of {VALID_ROUNDS}, got {rounds}")
-    _require_kernel()
-    # A fresh buffer per call: ctypes releases the GIL, so threads run this at once.
-    words = (ctypes.c_uint64 * 5)(*state)
-    _permute(words, rounds)
-    return State(*words)
-
-
-def _run(state: State, data: bytes, rate: int, rounds: int, mode: int):
-    """Run the C loop over the whole blocks at the front of `data`.
-
-    Returns (new state, output buffer or None).  A trailing partial block
-    is left to the caller: it does not touch the state, and its bytes in
-    the output buffer, which is len(data) bytes long, stay zero.
+    The caller has checked what the C code relies on: every input is
+    `bytes`, key and nonce are 16 bytes, and `params` is a VariantParams.
+    Fresh buffers per call: ctypes releases the GIL, so threads run this at
+    once.
     """
-    if rate not in (8, 16) or rounds not in VALID_ROUNDS:
-        raise ValueError(
-            f"need rate 8 or 16 and rounds in {VALID_ROUNDS}; got rate {rate}, rounds {rounds}"
-        )
-    _require_kernel()
-    out = None if mode == _ABSORB else ctypes.create_string_buffer(len(data))
-    blocks = len(data) // rate
-    if not blocks:  # nothing to run; spare the state's trip through ctypes
-        return state, out
-    if not isinstance(data, bytes):
-        data = bytes(data)
-    words = (ctypes.c_uint64 * 5)(*state)
-    _duplex(words, data, out, blocks, rate, rounds, mode)
-    return State(*words), out
+    if _aead is None and not load():
+        raise RuntimeError(f"compiled kernel unavailable: {UNAVAILABLE_REASON}")
+    out, tag = (ctypes.c_char * len(data))(), _Tag()
+    _aead(mode, params.rate_bytes, params.rounds_a, params.rounds_b, params.iv_word,
+          key, nonce, ad, len(ad), data, out, len(data), tag)
+    return out, tag
 
 
-def absorb_blocks(state: State, data: bytes, rate: int, rounds: int) -> State:
-    """Absorb each whole block of `data`, permuting after every one."""
-    return _run(state, data, rate, rounds, _ABSORB)[0]
+def encrypt(params, key: bytes, nonce: bytes, ad: bytes, plaintext: bytes):
+    """aead.encrypt in one C call: (ciphertext, tag)."""
+    out, tag = _run(_ENCRYPT, params, key, nonce, ad, plaintext)
+    return out.raw, tag.raw
 
 
-def encrypt_blocks(state: State, data: bytes, rate: int, rounds: int):
-    """Encrypt the whole blocks of `data`; returns (state, writable ctypes buffer of len(data))."""
-    return _run(state, data, rate, rounds, _ENCRYPT)
+def decrypt(params, key: bytes, nonce: bytes, ad: bytes, ciphertext: bytes):
+    """aead.decrypt in one C call, without the tag check: (plaintext buffer, expected tag).
 
-
-def decrypt_blocks(state: State, data: bytes, rate: int, rounds: int):
-    """Decrypt the whole blocks of `data`; returns (state, writable ctypes buffer of len(data))."""
-    return _run(state, data, rate, rounds, _DECRYPT)
+    The caller compares the tags and reads the buffer only when they match.
+    """
+    out, tag = _run(_DECRYPT, params, key, nonce, ad, ciphertext)
+    return out, tag.raw

@@ -5,12 +5,11 @@ Both parameter sets drive the same four-phase duplex flow:
     initialize -> process_associated_data -> encrypt_data/decrypt_data -> finalize
 
 The phase functions are exposed individually (they are pure State -> State
-transformers) so the trace tooling and tests can pin intermediate states;
-`encrypt` and `decrypt` compose them.
-
-When the optional compiled kernel (`_accel`) loads, it runs every
-permutation and every whole AD or data block; otherwise the plain-Python
-permutation and per-block loops here do, and they stay the reference.
+transformers) so the trace tooling and tests can pin intermediate states.
+They are the reference definition of the cipher.  When the optional
+compiled kernel (`_accel`) loads, `encrypt` and `decrypt` run each message
+through it in one call, a compiled copy of these phases; otherwise they
+compose the phases here.
 
 Nonces must never repeat under the same key: encryption is deterministic,
 and a repeated (key, nonce) pair forfeits confidentiality.  The library
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 from . import permutation
 from .codec import bytes_from_word, pad_10star, word_from_bytes, xor_bytes
-from .permutation import State
+from .permutation import VALID_ROUNDS, State
 
 KEY_BYTES = 16
 NONCE_BYTES = 16
@@ -58,6 +57,16 @@ class VariantParams:
     nonce_bytes: int = NONCE_BYTES
     tag_bytes: int = TAG_BYTES
 
+    def __post_init__(self) -> None:
+        # The compiled kernel relies on these; reject anything else up front.
+        if self.rate_bytes not in (8, 16):
+            raise ValueError(f"rate must be 8 or 16 bytes, got {self.rate_bytes}")
+        if self.rounds_a not in VALID_ROUNDS or self.rounds_b not in VALID_ROUNDS:
+            raise ValueError(f"round counts must be in {VALID_ROUNDS}")
+        sizes = (self.key_bytes, self.nonce_bytes, self.tag_bytes)
+        if sizes != (KEY_BYTES, NONCE_BYTES, TAG_BYTES):
+            raise ValueError("key, nonce and tag must be 16 bytes each")
+
 
 ASCON_128 = VariantParams(
     "ASCON-128", rate_bytes=8, rounds_a=12, rounds_b=6, iv_word=0x80400C0600000000
@@ -77,6 +86,17 @@ def _check_key_nonce(params: VariantParams, key: bytes, nonce: bytes) -> None:
         raise ValueError(f"nonce must be {params.nonce_bytes} bytes, got {len(nonce)}")
 
 
+def _as_bytes(name: str, value) -> bytes:
+    """`value` as bytes when it is bytes-like; TypeError naming `name` otherwise."""
+    if type(value) is bytes:
+        return value
+    try:
+        return memoryview(value).tobytes()
+    except TypeError:
+        kind = type(value).__name__
+        raise TypeError(f"{name} must be a bytes-like object, not {kind}") from None
+
+
 def _get_accel():
     """Resolve the compiled-kernel backend once; None if unavailable.
 
@@ -92,15 +112,12 @@ def _get_accel():
 
 
 def permute(state: State, rounds: int = 12) -> State:
-    """The permutation every phase calls: the kernel's when it loads, else the reference.
+    """The permutation every phase calls.
 
     Phases look this name up at call time, so a stand-in set on the module
-    (a counter, a tracer) sees every permutation they run one at a time.
+    (a counter, a tracer) sees every permutation they run.
     """
-    accel = _get_accel()
-    if accel is None:
-        return permutation.permute(state, rounds)
-    return accel.permute(state, rounds)
+    return permutation.permute(state, rounds)
 
 
 def _rate_of(state: State, rate: int) -> bytes:
@@ -152,13 +169,9 @@ def process_associated_data(state: State, params: VariantParams, ad: bytes) -> S
     if ad:
         rate, rounds = params.rate_bytes, params.rounds_b
         padded = pad_10star(ad, rate)
-        accel = _get_accel()
-        if accel is not None:
-            state = accel.absorb_blocks(state, padded, rate, rounds)
-        else:
-            for off in range(0, len(padded), rate):
-                state = _absorb(state, padded[off : off + rate], rate)
-                state = permute(state, rounds)
+        for off in range(0, len(padded), rate):
+            state = _absorb(state, padded[off : off + rate], rate)
+            state = permute(state, rounds)
     return state._replace(s4=state.s4 ^ 1)
 
 
@@ -173,15 +186,11 @@ def encrypt_data(
     """
     rate, rounds = params.rate_bytes, params.rounds_b
     split = len(plaintext) - len(plaintext) % rate  # whole blocks, each permuted after
-    accel = _get_accel()
-    if accel is not None:
-        state, out = accel.encrypt_blocks(state, plaintext, rate, rounds)
-    else:
-        out = bytearray(len(plaintext))
-        for off in range(0, split, rate):
-            state = _absorb(state, plaintext[off : off + rate], rate)
-            out[off : off + rate] = _rate_of(state, rate)
-            state = permute(state, rounds)
+    out = bytearray(len(plaintext))
+    for off in range(0, split, rate):
+        state = _absorb(state, plaintext[off : off + rate], rate)
+        out[off : off + rate] = _rate_of(state, rate)
+        state = permute(state, rounds)
     state = _absorb(state, pad_10star(plaintext[split:], rate), rate)
     out[split:] = _rate_of(state, rate)[: len(plaintext) - split]
     return state, bytes(out)
@@ -200,16 +209,12 @@ def decrypt_data(
     """
     rate, rounds = params.rate_bytes, params.rounds_b
     split = len(ciphertext) - len(ciphertext) % rate
-    accel = _get_accel()
-    if accel is not None:
-        state, out = accel.decrypt_blocks(state, ciphertext, rate, rounds)
-    else:
-        out = bytearray(len(ciphertext))
-        for off in range(0, split, rate):
-            block = ciphertext[off : off + rate]
-            out[off : off + rate] = xor_bytes(_rate_of(state, rate), block)
-            state = _overwrite_rate(state, block, rate)
-            state = permute(state, rounds)
+    out = bytearray(len(ciphertext))
+    for off in range(0, split, rate):
+        block = ciphertext[off : off + rate]
+        out[off : off + rate] = xor_bytes(_rate_of(state, rate), block)
+        state = _overwrite_rate(state, block, rate)
+        state = permute(state, rounds)
     tail = ciphertext[split:]
     exposed = _rate_of(state, rate)
     out[split:] = xor_bytes(exposed[: len(tail)], tail)
@@ -248,7 +253,17 @@ def encrypt(
     nonce: 16 public bytes, unique per (key, message).
     associated_data: authenticated but not encrypted; may be empty.
     plaintext: arbitrary length; the ciphertext has the same length.
+
+    Every input may be any bytes-like object; anything else (a str, say)
+    raises TypeError, and a key or nonce of the wrong length ValueError.
     """
+    key, nonce = _as_bytes("key", key), _as_bytes("nonce", nonce)
+    associated_data = _as_bytes("associated_data", associated_data)
+    plaintext = _as_bytes("plaintext", plaintext)
+    _check_key_nonce(params, key, nonce)
+    accel = _get_accel()
+    if accel is not None:
+        return accel.encrypt(params, key, nonce, associated_data, plaintext)
     state = initialize(params, key, nonce)
     state = process_associated_data(state, params, associated_data)
     state, ciphertext = encrypt_data(state, params, plaintext)
@@ -268,13 +283,22 @@ def decrypt(
 
     The recomputed tag is compared to `tag` in constant time.  On mismatch
     AuthenticationFailure is raised and no plaintext leaves this function.
+    Inputs are checked as in `encrypt`, and so is the tag's length.
     """
+    key, nonce = _as_bytes("key", key), _as_bytes("nonce", nonce)
+    associated_data = _as_bytes("associated_data", associated_data)
+    ciphertext, tag = _as_bytes("ciphertext", ciphertext), _as_bytes("tag", tag)
+    _check_key_nonce(params, key, nonce)
     if len(tag) != params.tag_bytes:
         raise ValueError(f"tag must be {params.tag_bytes} bytes, got {len(tag)}")
-    state = initialize(params, key, nonce)
-    state = process_associated_data(state, params, associated_data)
-    state, plaintext = decrypt_data(state, params, ciphertext)
-    expected = finalize(state, params, key)
+    accel = _get_accel()
+    if accel is not None:
+        plaintext, expected = accel.decrypt(params, key, nonce, associated_data, ciphertext)
+    else:
+        state = initialize(params, key, nonce)
+        state = process_associated_data(state, params, associated_data)
+        state, plaintext = decrypt_data(state, params, ciphertext)
+        expected = finalize(state, params, key)
     if not hmac.compare_digest(expected, tag):
         raise AuthenticationFailure("authentication failed")
-    return plaintext
+    return bytes(plaintext)

@@ -16,8 +16,10 @@ read.  No key material is ever written to any output stream.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import __version__, aead, kat
@@ -204,10 +206,23 @@ def _resolve_ad(args) -> bytes:
 
 
 def _write_out(path: str, data: bytes) -> None:
+    """Write `path` whole or not at all, by way of a temporary file beside it.
+
+    The file is created readable and writable by its owner only.
+    """
+    target = Path(path)
+    tmp = None
     try:
-        Path(path).write_bytes(data)
+        fd, tmp = tempfile.mkstemp(prefix=f".{target.name}-", suffix=".tmp", dir=target.parent)
+        os.close(fd)
+        Path(tmp).write_bytes(data)
+        os.replace(tmp, target)
     except OSError as exc:
         raise _IoFailure(f"--out: cannot write {path}: {exc.strerror}") from exc
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
 def _note(args, message: str) -> None:

@@ -28,7 +28,7 @@ def phase_fixtures():
 
 @pytest.fixture
 def pure_path(monkeypatch):
-    """Force the plain-Python permutation and block loops even where the compiled kernel loads."""
+    """Force the reference path (the Python phases) even where the compiled kernel loads."""
     monkeypatch.setattr(aead, "_accel_backend", False)
 
 

@@ -7,8 +7,9 @@ earliest KAT record whose CT field must diverge: 1 for bugs visible with
 empty inputs, 2 (the first record with non-empty associated data) for the
 AD-phase bug.
 
-KERNEL_MUTANTS carries the three permutation bug classes into the compiled
-kernel as edits of its C source, which a test builds and loads.
+KERNEL_MUTANTS carries the same seven bug classes into the compiled kernel
+as edits of its C source, which a test builds and loads; each must be
+caught by the same earliest record as its Python twin.
 """
 
 from __future__ import annotations
@@ -123,4 +124,15 @@ KERNEL_MUTANTS = {
         "#define ROTR(x, n) (((x) << (n)) | ((x) >> (64 - (n))))",
     ),
     "missing linear-layer input XOR": ("^= ROTR(", "= ROTR("),
+    "missing 0*||K initialization XOR": ("    s[3] ^= k1;\n    s[4] ^= k2;\n", ""),
+    "extra permutation on last data block": (
+        "duplex_tail(s, in + split, out + split, len - split, rate, mode);",
+        "duplex_tail(s, in + split, out + split, len - split, rate, mode);\n"
+        "    permute(s, rounds_b);",
+    ),
+    "missing permutation after final AD block": (
+        "ABSORB);\n        permute(s, rounds_b);",
+        "ABSORB);",
+    ),
+    "missing domain separator": ("s[4] ^= 1;", ""),
 }

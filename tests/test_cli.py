@@ -68,6 +68,34 @@ class TestEncrypt:
                      "--pt", "00", "--out", str(tmp_path / "no" / "dir" / "f.bin"))
         assert rc == 3
 
+    def test_directory_as_output_exits_3_and_leaves_no_temp_file(self, tmp_path, capsys):
+        target = tmp_path / "a-directory"
+        target.mkdir()
+        rc = run_cli("encrypt", "--key", KEY_HEX, "--nonce", NONCE_HEX,
+                     "--pt", "00", "--out", str(target))
+        assert rc == 3
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
+
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, capsys, monkeypatch):
+        import errno
+        from pathlib import Path
+
+        def write_half_then_fail(self, data):
+            with open(self, "wb") as f:
+                f.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        out = tmp_path / "ct.bin"
+        out.write_bytes(b"earlier contents")
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        rc = run_cli("encrypt", "--key", KEY_HEX, "--nonce", NONCE_HEX,
+                     "--pt", "00" * 64, "--out", str(out))
+        assert rc == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier contents"
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_gen_nonce_echoes_once_and_round_trips(self, capsys, tmp_path):
         pt = tmp_path / "pt.bin"
         ct = tmp_path / "ct.bin"
