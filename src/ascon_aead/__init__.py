@@ -19,6 +19,7 @@ from .aead import (
     VARIANTS,
     AuthenticationFailure,
     VariantParams,
+    backend_info,
     decrypt,
     encrypt,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "AuthenticationFailure",
     "State",
     "VariantParams",
+    "backend_info",
     "decrypt",
     "encrypt",
     "permute",

@@ -1,13 +1,16 @@
 /* ASCON-128 and ASCON-128a encryption and decryption, one message per call.
  *
- * _accel.py compiles this file on first use and calls ascon_aead through
- * ctypes.  ascon_aead is a compiled copy of the four phases in aead.py,
- * which stay the reference; the round function is the one in
- * permutation.py, on machine words, and ascon_duplex fuses it across whole
- * rate blocks.  Words are loaded and stored big-endian with byte shifts, so
- * the result does not depend on the host's byte order.  The only branches
- * are on loop counters and on the public lengths, mode and rate; nothing
- * branches on, or indexes memory by, key, state or data.
+ * _accel.py compiles this file on first use and calls it through ctypes.
+ * Two symbols are exported, ascon_encrypt and ascon_decrypt; the direction
+ * is carried by which one is called.  Each takes eight arguments, six
+ * pointers and two lengths, because every argument ctypes converts costs
+ * time on every call.  Both wrap ascon_aead, a compiled copy of the four
+ * phases in aead.py, which stay the reference; the round function is the
+ * one in permutation.py, on machine words, and ascon_duplex fuses it across
+ * whole rate blocks.  Words are loaded and stored big-endian with byte
+ * shifts, so the result does not depend on the host's byte order.  The only
+ * branches are on loop counters and on the public lengths, mode and rate;
+ * nothing branches on, or indexes memory by, key, state or data.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -131,19 +134,29 @@ static void duplex_tail(uint64_t s[5], const unsigned char *in, unsigned char *o
 
 /* Encrypt (mode ENCRYPT) or decrypt (mode DECRYPT) one message: `len`
  * bytes from `in` to `out`, with `adlen` bytes of associated data.  `key`
- * and `nonce` are 16 bytes each; `tag` receives the 16-byte tag computed
- * over the message, which a decrypting caller compares with the one it
- * received.  `rate` is 8 or 16 and the round counts are 6, 8 or 12; the
- * caller checks all of this.
+ * and `nonce` are 16 bytes each.  `out` holds `len + 16` bytes: the output
+ * first, then the 16-byte tag computed over the message, which a decrypting
+ * caller compares with the one it received.
+ *
+ * `params` is the 11-byte block of public parameters that aead.py packs
+ * once per VariantParams:
+ *
+ *     bytes 0-7   the IV word, big-endian
+ *     byte 8      the rate in bytes: 8 or 16
+ *     byte 9      rounds_a: 6, 8 or 12
+ *     byte 10     rounds_b: 6, 8 or 12
+ *
+ * VariantParams accepts no other values, and the caller checks the key and
+ * nonce lengths.
  */
-void ascon_aead(unsigned mode, unsigned rate, unsigned rounds_a, unsigned rounds_b,
-                uint64_t iv, const unsigned char *key, const unsigned char *nonce,
-                const unsigned char *ad, size_t adlen, const unsigned char *in,
-                unsigned char *out, size_t len, unsigned char *tag)
+static void ascon_aead(unsigned mode, const unsigned char *params, const unsigned char *key,
+                       const unsigned char *nonce, const unsigned char *ad, size_t adlen,
+                       const unsigned char *in, size_t len, unsigned char *out)
 {
+    const unsigned rate = params[8], rounds_a = params[9], rounds_b = params[10];
     const uint64_t k1 = load64(key), k2 = load64(key + 8);
     const size_t ad_split = adlen - adlen % rate, split = len - len % rate;
-    uint64_t s[5] = {iv, k1, k2, load64(nonce), load64(nonce + 8)};
+    uint64_t s[5] = {load64(params), k1, k2, load64(nonce), load64(nonce + 8)};
 
     permute(s, rounds_a);
     s[3] ^= k1;
@@ -162,6 +175,21 @@ void ascon_aead(unsigned mode, unsigned rate, unsigned rounds_a, unsigned rounds
     s[rate / 8] ^= k1;
     s[rate / 8 + 1] ^= k2;
     permute(s, rounds_a);
-    store64(tag, s[3] ^ k1);
-    store64(tag + 8, s[4] ^ k2);
+    store64(out + len, s[3] ^ k1);
+    store64(out + len + 8, s[4] ^ k2);
+}
+
+/* The two entry points; the arguments are those of ascon_aead. */
+void ascon_encrypt(const unsigned char *params, const unsigned char *key,
+                   const unsigned char *nonce, const unsigned char *ad, size_t adlen,
+                   const unsigned char *in, size_t len, unsigned char *out)
+{
+    ascon_aead(ENCRYPT, params, key, nonce, ad, adlen, in, len, out);
+}
+
+void ascon_decrypt(const unsigned char *params, const unsigned char *key,
+                   const unsigned char *nonce, const unsigned char *ad, size_t adlen,
+                   const unsigned char *in, size_t len, unsigned char *out)
+{
+    ascon_aead(DECRYPT, params, key, nonce, ad, adlen, in, len, out);
 }

@@ -8,6 +8,12 @@ phases over the same round function on machine words, and is pinned to the
 reference path bit-for-bit by the test suite.  Like the reference path it
 never branches on or indexes by secret values.
 
+A call crosses into C once, through `ascon_encrypt` or `ascon_decrypt`.
+Each takes six pointers and two lengths, since ctypes spends time on every
+argument it converts: the public parameters travel as the block that
+VariantParams packs once (`_kernel_params`, laid out in `_accel.c`), and
+the output and the tag come back in one buffer of len + 16 bytes.
+
 Only the standard library and the system C compiler (`cc`) are needed.  On
 first use the source is compiled into a cache keyed by a hash of the
 source, the compile command and the platform: the `__pycache__` directory
@@ -29,8 +35,6 @@ import tempfile
 import threading
 from pathlib import Path
 
-_ENCRYPT, _DECRYPT = 1, 2
-
 _SOURCE = Path(__file__).with_name("_accel.c")
 _COMPILER = "cc"
 _CFLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
@@ -39,9 +43,11 @@ _COMPILE_TIMEOUT_S = 120
 
 #: Why the kernel could not be built or loaded; None until load() fails.
 UNAVAILABLE_REASON: str | None = None
+#: The path of the loaded library; None until load() succeeds.
+LIBRARY: str | None = None
 
-_aead = None  # the bound C function, once load() has succeeded
-_Tag = ctypes.c_char * 16
+_encrypt = _decrypt = None  # the bound C functions, once load() has succeeded
+_TAG_BYTES = 16
 _lock = threading.Lock()
 
 
@@ -57,28 +63,31 @@ def load() -> bool:
     dynamic loader rejects.  Their reason is kept in UNAVAILABLE_REASON.
     Anything else is a fault and propagates.
     """
-    global _aead, UNAVAILABLE_REASON
+    global _encrypt, _decrypt, LIBRARY, UNAVAILABLE_REASON
     with _lock:
-        if _aead is None and UNAVAILABLE_REASON is None:
+        if _encrypt is None and UNAVAILABLE_REASON is None:
             try:
-                _aead = _bind(_library())
+                path = _library()
+                _encrypt, _decrypt = _bind(path)
+                LIBRARY = str(path)
             except _Unavailable as exc:
                 UNAVAILABLE_REASON = str(exc)
-        return _aead is not None
+        return _encrypt is not None
 
 
 def _bind(path: Path):
-    """ascon_aead from the library at `path`, with its signature."""
+    """(ascon_encrypt, ascon_decrypt) from the library at `path`, with their signature."""
     try:
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
         raise _Unavailable(f"cannot load {path}: {exc}") from exc
-    fn = lib.ascon_aead
-    uint, buf, size = ctypes.c_uint, ctypes.c_char_p, ctypes.c_size_t
-    # mode, rate, rounds_a, rounds_b, iv, key, nonce, ad, adlen, in, out, len, tag
-    fn.argtypes = (uint,) * 4 + (ctypes.c_uint64, buf, buf, buf, size, buf, buf, size, buf)
-    fn.restype = None
-    return fn
+    buf, size = ctypes.c_char_p, ctypes.c_size_t
+    fns = lib.ascon_encrypt, lib.ascon_decrypt
+    for fn in fns:
+        # params, key, nonce, ad, adlen, in, len, out
+        fn.argtypes = (buf, buf, buf, buf, size, buf, size, buf)
+        fn.restype = None
+    return fns
 
 
 def _library() -> Path:
@@ -157,32 +166,27 @@ def _compile(target: Path) -> None:
             os.unlink(tmp)
 
 
-def _run(mode: int, params, key: bytes, nonce: bytes, ad: bytes, data: bytes):
-    """One ascon_aead call; returns (output buffer of len(data), tag buffer).
-
-    The caller has checked what the C code relies on: every input is
-    `bytes`, key and nonce are 16 bytes, and `params` is a VariantParams.
-    Fresh buffers per call: ctypes releases the GIL, so threads run this at
-    once.
-    """
-    if _aead is None and not load():
-        raise RuntimeError(f"compiled kernel unavailable: {UNAVAILABLE_REASON}")
-    out, tag = (ctypes.c_char * len(data))(), _Tag()
-    _aead(mode, params.rate_bytes, params.rounds_a, params.rounds_b, params.iv_word,
-          key, nonce, ad, len(ad), data, out, len(data), tag)
-    return out, tag
-
-
 def encrypt(params, key: bytes, nonce: bytes, ad: bytes, plaintext: bytes):
-    """aead.encrypt in one C call: (ciphertext, tag)."""
-    out, tag = _run(_ENCRYPT, params, key, nonce, ad, plaintext)
-    return out.raw, tag.raw
+    """aead.encrypt in one C call: (ciphertext, tag).
+
+    Like decrypt, this relies on load() having returned True and on the
+    caller's checks: every input is `bytes`, key and nonce are 16 bytes, and
+    `params` is a VariantParams.  The buffer is fresh per call: ctypes
+    releases the GIL, so threads run this at once.
+    """
+    n = len(plaintext)
+    out = (ctypes.c_char * (n + _TAG_BYTES))()
+    _encrypt(params._kernel_params, key, nonce, ad, len(ad), plaintext, n, out)
+    return out[:n], out[n:]
 
 
 def decrypt(params, key: bytes, nonce: bytes, ad: bytes, ciphertext: bytes):
-    """aead.decrypt in one C call, without the tag check: (plaintext buffer, expected tag).
+    """aead.decrypt in one C call, without the tag check: (output buffer, expected tag).
 
-    The caller compares the tags and reads the buffer only when they match.
+    The buffer holds the plaintext in its first len(ciphertext) bytes; the
+    caller compares the tags and reads the plaintext only when they match.
     """
-    out, tag = _run(_DECRYPT, params, key, nonce, ad, ciphertext)
-    return out, tag.raw
+    n = len(ciphertext)
+    out = (ctypes.c_char * (n + _TAG_BYTES))()
+    _decrypt(params._kernel_params, key, nonce, ad, len(ad), ciphertext, n, out)
+    return out, out[n:]

@@ -9,7 +9,12 @@ transformers) so the trace tooling and tests can pin intermediate states.
 They are the reference definition of the cipher.  When the optional
 compiled kernel (`_accel`) loads, `encrypt` and `decrypt` run each message
 through it in one call, a compiled copy of these phases; otherwise they
-compose the phases here.
+compose the phases here.  `backend_info` says which of the two runs.
+
+Both check every argument.  Inputs that are already `bytes` with a key and
+nonce of the right length pass one combined test; anything else goes
+through the checks one by one, which convert other bytes-like objects and
+raise the error that names the argument at fault.
 
 Nonces must never repeat under the same key: encryption is deterministic,
 and a repeated (key, nonce) pair forfeits confidentiality.  The library
@@ -66,6 +71,15 @@ class VariantParams:
         sizes = (self.key_bytes, self.nonce_bytes, self.tag_bytes)
         if sizes != (KEY_BYTES, NONCE_BYTES, TAG_BYTES):
             raise ValueError("key, nonce and tag must be 16 bytes each")
+        if not 0 <= self.iv_word < 1 << 64:
+            raise ValueError("iv_word must be a 64-bit unsigned integer")
+        # The public parameters as the kernel reads them, laid out in
+        # _accel.c: IV (8 bytes, big-endian), rate, rounds_a, rounds_b.
+        # Not a field; the class is frozen and dataclasses.replace runs this
+        # again, so it always matches the fields.
+        packed = self.iv_word.to_bytes(8, "big")
+        packed += bytes((self.rate_bytes, self.rounds_a, self.rounds_b))
+        object.__setattr__(self, "_kernel_params", packed)
 
 
 ASCON_128 = VariantParams(
@@ -109,6 +123,24 @@ def _get_accel():
 
         _accel_backend = _accel if _accel.load() else False
     return _accel_backend or None
+
+
+def backend_info() -> dict:
+    """Which backend runs encrypt and decrypt, as JSON-ready strings.
+
+    "backend" is "kernel" or "pure"; "library" is the path of the loaded
+    kernel, or None on the pure path; "unavailable_reason" is why the kernel
+    could not be built or loaded, or None.  Resolves the backend, so the
+    first call may build the kernel.
+    """
+    from . import _accel
+
+    accel = _get_accel()
+    return {
+        "backend": "pure" if accel is None else "kernel",
+        "library": None if accel is None else accel.LIBRARY,
+        "unavailable_reason": _accel.UNAVAILABLE_REASON,
+    }
 
 
 def permute(state: State, rounds: int = 12) -> State:
@@ -257,10 +289,15 @@ def encrypt(
     Every input may be any bytes-like object; anything else (a str, say)
     raises TypeError, and a key or nonce of the wrong length ValueError.
     """
-    key, nonce = _as_bytes("key", key), _as_bytes("nonce", nonce)
-    associated_data = _as_bytes("associated_data", associated_data)
-    plaintext = _as_bytes("plaintext", plaintext)
-    _check_key_nonce(params, key, nonce)
+    if not (
+        type(key) is type(nonce) is type(associated_data) is type(plaintext) is bytes
+        and len(key) == params.key_bytes
+        and len(nonce) == params.nonce_bytes
+    ):
+        key, nonce = _as_bytes("key", key), _as_bytes("nonce", nonce)
+        associated_data = _as_bytes("associated_data", associated_data)
+        plaintext = _as_bytes("plaintext", plaintext)
+        _check_key_nonce(params, key, nonce)
     accel = _get_accel()
     if accel is not None:
         return accel.encrypt(params, key, nonce, associated_data, plaintext)
@@ -285,12 +322,19 @@ def decrypt(
     AuthenticationFailure is raised and no plaintext leaves this function.
     Inputs are checked as in `encrypt`, and so is the tag's length.
     """
-    key, nonce = _as_bytes("key", key), _as_bytes("nonce", nonce)
-    associated_data = _as_bytes("associated_data", associated_data)
-    ciphertext, tag = _as_bytes("ciphertext", ciphertext), _as_bytes("tag", tag)
-    _check_key_nonce(params, key, nonce)
-    if len(tag) != params.tag_bytes:
-        raise ValueError(f"tag must be {params.tag_bytes} bytes, got {len(tag)}")
+    if not (
+        type(key) is type(nonce) is type(associated_data) is type(ciphertext) is type(tag)
+        is bytes
+        and len(key) == params.key_bytes
+        and len(nonce) == params.nonce_bytes
+        and len(tag) == params.tag_bytes
+    ):
+        key, nonce = _as_bytes("key", key), _as_bytes("nonce", nonce)
+        associated_data = _as_bytes("associated_data", associated_data)
+        ciphertext, tag = _as_bytes("ciphertext", ciphertext), _as_bytes("tag", tag)
+        _check_key_nonce(params, key, nonce)
+        if len(tag) != params.tag_bytes:
+            raise ValueError(f"tag must be {params.tag_bytes} bytes, got {len(tag)}")
     accel = _get_accel()
     if accel is not None:
         plaintext, expected = accel.decrypt(params, key, nonce, associated_data, ciphertext)
@@ -301,4 +345,4 @@ def decrypt(
         expected = finalize(state, params, key)
     if not hmac.compare_digest(expected, tag):
         raise AuthenticationFailure("authentication failed")
-    return bytes(plaintext)
+    return plaintext[: len(ciphertext)]  # the kernel's buffer also holds the tag

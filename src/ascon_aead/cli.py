@@ -403,6 +403,8 @@ def _selftest_checks():
 
 
 def cmd_selftest(args) -> int:
+    for key, value in aead.backend_info().items():
+        _note(args, f"{key}: {value}")
     failures = 0
     total = 0
     for name, check in _selftest_checks():

@@ -52,12 +52,13 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 def hex_decode(text: str) -> bytes:
     """Decode hex text (case-insensitive, empty allowed) to bytes."""
+    # bytes.fromhex alone would also accept whitespace, so check the set first
+    if _HEX_DIGITS.issuperset(text) and not len(text) % 2:
+        return bytes.fromhex(text)
     for i, ch in enumerate(text):
         if ch not in _HEX_DIGITS:
             raise HexError(f"invalid hex character {ch!r}", i)
-    if len(text) % 2:
-        raise HexError("odd-length hex string ends", len(text) - 1)
-    return bytes.fromhex(text)
+    raise HexError("odd-length hex string ends", len(text) - 1)
 
 
 def hex_encode(data: bytes) -> str:

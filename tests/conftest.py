@@ -32,6 +32,16 @@ def pure_path(monkeypatch):
     monkeypatch.setattr(aead, "_accel_backend", False)
 
 
+@pytest.fixture
+def fresh_loader(monkeypatch):
+    """Forget the loaded kernel for one test, so the next call builds or loads it anew."""
+    from ascon_aead import _accel
+
+    for name in ("_encrypt", "_decrypt", "LIBRARY", "UNAVAILABLE_REASON"):
+        monkeypatch.setattr(_accel, name, None)
+    monkeypatch.setattr(aead, "_accel_backend", None)
+
+
 def accel_available() -> bool:
     return aead._get_accel() is not None
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -66,13 +67,39 @@ class TestVariantParams:
         assert ASCON_128A.iv_word == 0x80800C0800000000
 
     @pytest.mark.parametrize(
-        "field, value", [("rate_bytes", 32), ("rounds_a", 13), ("rounds_b", 4), ("key_bytes", 8)]
+        "field, value",
+        [("rate_bytes", 32), ("rounds_a", 13), ("rounds_b", 4), ("key_bytes", 8),
+         ("iv_word", 1 << 64), ("iv_word", -1)],
     )
     def test_rejects_parameters_the_cipher_does_not_use(self, field, value):
-        import dataclasses
-
         with pytest.raises(ValueError):
             dataclasses.replace(ASCON_128, **{field: value})
+
+    @pytest.mark.parametrize(
+        "base, changes",
+        [
+            (ASCON_128, {"iv_word": 0x0123456789ABCDEF}),
+            (ASCON_128, {"rounds_a": 6}),
+            (ASCON_128, {"rounds_a": 8}),
+            (ASCON_128, {"rounds_b": 12}),
+            (ASCON_128A, {"rounds_b": 12}),
+        ],
+        ids=["iv_word", "rounds_a-6", "rounds_a-8", "rounds_b-12-rate-8", "rounds_b-12-rate-16"],
+    )
+    def test_every_parameter_field_reaches_the_backend(self, backend, base, changes):
+        # The same name with other values: a parameter block cached per class
+        # or per variant name would give the base variant's output.
+        params = dataclasses.replace(base, **changes)
+        r = params.rate_bytes
+        # every pair of lengths runs p^b at least once, so rounds_b shows too
+        for ad_len, pt_len in [(0, r), (r - 1, r - 1), (r, r + 1), (2 * r + 1, 3 * r - 1)]:
+            ad, pt = bytes(range(ad_len)), bytes(range(100, 100 + pt_len))
+            ct, tag = encrypt(params, KEY, NONCE, ad, pt)
+            assert (ct, tag) != encrypt(base, KEY, NONCE, ad, pt)
+            assert decrypt(params, KEY, NONCE, ad, ct, tag) == pt
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(aead, "_accel_backend", False)
+                assert encrypt(params, KEY, NONCE, ad, pt) == (ct, tag)
 
 
 class TestInitialize:
@@ -329,7 +356,8 @@ class TestInputContract:
         def must_not_run(*args):
             raise AssertionError("the kernel was called")
 
-        monkeypatch.setattr(_accel, "_aead", must_not_run)
+        monkeypatch.setattr(_accel, "_encrypt", must_not_run)
+        monkeypatch.setattr(_accel, "_decrypt", must_not_run)
         inputs = {"key": KEY, "nonce": NONCE, "tag": bytes(16)}
         inputs[short] = bytes(15)
         with pytest.raises(ValueError, match=short):
@@ -397,6 +425,21 @@ class TestAcceleratedPath:
         monkeypatch.setattr(aead, "_accel_backend", False)
         assert fast == [(*encrypt(ASCON_128A, KEY, nonce, b"ad", pt), pt) for nonce in nonces]
 
+    def test_backend_info_names_the_loaded_library(self):
+        import json
+        from pathlib import Path
+
+        import ascon_aead
+
+        encrypt(ASCON_128, KEY, NONCE, b"ad", b"message")
+        info = ascon_aead.backend_info()
+        assert info["backend"] == "kernel"
+        assert Path(info["library"]).is_file()
+        assert info["unavailable_reason"] is None
+        text = json.dumps(info)  # bench/run.py writes it into its JSON record
+        assert json.loads(text) == info
+        assert KEY.hex() not in text.lower() and b"message".hex() not in text
+
     @BOTH
     def test_kernels_pass_kat_subset(self, params, kat_records):
         from ascon_aead.kat import run_kat
@@ -407,7 +450,9 @@ class TestAcceleratedPath:
         assert report.failed == 0
         assert report.passed == 2 * len(subset)
 
-    def test_unwritable_cache_falls_back_to_private_temp_dir(self, monkeypatch, tmp_path):
+    def test_unwritable_cache_falls_back_to_private_temp_dir(
+        self, monkeypatch, tmp_path, fresh_loader
+    ):
         import os
         import tempfile
 
@@ -417,11 +462,10 @@ class TestAcceleratedPath:
         blocker.write_bytes(b"")
         monkeypatch.setattr(_accel, "_CACHE_DIR", blocker / "__pycache__")
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        monkeypatch.setattr(_accel, "_aead", None)
-        monkeypatch.setattr(_accel, "UNAVAILABLE_REASON", None)
         assert _accel.load(), _accel.UNAVAILABLE_REASON
         private = tmp_path / f"ascon-aead-{os.getuid()}"
         assert [p.suffix for p in private.iterdir()] == [".so"]
+        assert aead.backend_info()["library"] == str(next(private.iterdir()))
         assert private.stat().st_mode & 0o777 == 0o700
         fast = _accel.encrypt(ASCON_128, KEY, NONCE, b"ad", b"message")
         monkeypatch.setattr(aead, "_accel_backend", False)
@@ -432,7 +476,7 @@ class TestAcceleratedPath:
     "compiler, reason", [("no-such-cc", "not found on PATH"), ("false", "failed with exit")]
 )
 def test_kernel_fallback_keeps_pure_path_and_reason(
-    compiler, reason, kat_records, monkeypatch, tmp_path
+    compiler, reason, kat_records, monkeypatch, tmp_path, fresh_loader
 ):
     from ascon_aead import _accel
     from ascon_aead.kat import run_kat
@@ -440,9 +484,6 @@ def test_kernel_fallback_keeps_pure_path_and_reason(
     # an empty cache, a compiler that is missing or fails, and no load tried yet
     monkeypatch.setattr(_accel, "_CACHE_DIR", tmp_path)
     monkeypatch.setattr(_accel, "_COMPILER", compiler)
-    monkeypatch.setattr(_accel, "_aead", None)
-    monkeypatch.setattr(_accel, "UNAVAILABLE_REASON", None)
-    monkeypatch.setattr(aead, "_accel_backend", None)
     subset = kat_records["ascon128"][::37]
     report = run_kat(subset, ASCON_128)
     assert report.failed == 0
@@ -450,6 +491,9 @@ def test_kernel_fallback_keeps_pure_path_and_reason(
     assert aead._accel_backend is False
     assert compiler in _accel.UNAVAILABLE_REASON
     assert reason in _accel.UNAVAILABLE_REASON
+    assert aead.backend_info() == {
+        "backend": "pure", "library": None, "unavailable_reason": _accel.UNAVAILABLE_REASON
+    }
     assert list(tmp_path.iterdir()) == [], "a failed build must leave no file behind"
 
 
@@ -469,3 +513,35 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_kernel_entry_points_stay_inside_their_buffers(tmp_path):
+    # The KAT gate cannot see a write one byte past the output or the tag,
+    # so kernel_driver.c runs every block edge on exact-size heap buffers
+    # under AddressSanitizer and UndefinedBehaviorSanitizer.
+    import shutil
+    import subprocess
+    from pathlib import Path
+
+    from ascon_aead import _accel
+
+    compiler = shutil.which("cc")
+    if compiler is None:
+        pytest.skip("no C compiler on PATH")
+    flags = ["-std=c99", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    if subprocess.run([compiler, *flags, "-o", str(tmp_path / "probe"), str(probe)],
+                      capture_output=True, timeout=120).returncode != 0:
+        pytest.skip("the sanitizer runtimes do not link here")
+    driver = tmp_path / "driver"
+    build = subprocess.run(
+        [compiler, *flags, "-o", str(driver), str(Path(__file__).with_name("kernel_driver.c")),
+         str(_accel._SOURCE)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert build.returncode == 0, build.stderr
+    proc = subprocess.run([str(driver)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    cases = sum((3 * rate + 2) ** 2 for rate in (8, 16))  # lengths 0 to 3 blocks + 1, squared
+    assert proc.stdout.strip() == f"{cases} cases passed"

@@ -314,6 +314,14 @@ class TestSelftest:
         for stream in (captured.out, captured.err):
             assert KEY_HEX not in stream.upper().replace(" ", "")
 
+    def test_verbose_reports_the_backend(self, capsys):
+        rc = run_cli("selftest", "-v")
+        assert rc == 0
+        err = capsys.readouterr().err
+        for key, value in aead.backend_info().items():
+            assert f"{key}: {value}" in err.splitlines()
+        assert KEY_HEX not in err.upper()
+
     def test_mutant_iv_exits_5(self, capsys, monkeypatch):
         broken = dataclasses.replace(aead.ASCON_128, iv_word=0xDEADBEEF00000000)
         monkeypatch.setitem(aead.VARIANTS, "ascon128", broken)

@@ -115,6 +115,16 @@ class TestHex:
         assert info.value.position == 2
         assert "'G'" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "text, position", [("00 FF", 2), (" 00", 0), ("00\n", 2), ("0\t0", 1), ("0G0", 1)]
+    )
+    def test_whitespace_and_bad_characters_are_rejected(self, text, position):
+        # bytes.fromhex would skip the whitespace
+        with pytest.raises(HexError) as info:
+            hex_decode(text)
+        assert info.value.position == position
+        assert "invalid hex character" in str(info.value)
+
     def test_hex_error_is_value_error(self):
         with pytest.raises(ValueError):
             hex_decode("zz")

@@ -192,7 +192,7 @@ class TestBugLedgerMutants:
     not accel_available(), reason="the compiled C kernel could not be built or loaded"
 )
 @pytest.mark.parametrize("name", sorted(KERNEL_MUTANTS))
-def test_kernel_mutant_is_detected(name, kat_records, monkeypatch, tmp_path):
+def test_kernel_mutant_is_detected(name, kat_records, monkeypatch, tmp_path, fresh_loader):
     """A bug compiled into the kernel fails the same KAT record as its Python twin."""
     original, replacement = KERNEL_MUTANTS[name]
     earliest = BUG_MUTANTS[name][1]
@@ -203,9 +203,6 @@ def test_kernel_mutant_is_detected(name, kat_records, monkeypatch, tmp_path):
     # build and load the mutated source through the real loader, from scratch
     monkeypatch.setattr(_accel, "_SOURCE", mutated)
     monkeypatch.setattr(_accel, "_CACHE_DIR", tmp_path / "cache")
-    monkeypatch.setattr(_accel, "_aead", None)
-    monkeypatch.setattr(_accel, "UNAVAILABLE_REASON", None)
-    monkeypatch.setattr(aead, "_accel_backend", None)
     report = run_kat(kat_records["ascon128"][:2], ASCON_128)
     assert aead._accel_backend is _accel, _accel.UNAVAILABLE_REASON
     assert any(
