@@ -1,16 +1,16 @@
 /* ASCON-128 and ASCON-128a encryption and decryption, one message per call.
  *
- * _accel.py compiles this file on first use and calls it through ctypes.
- * Two symbols are exported, ascon_encrypt and ascon_decrypt; the direction
- * is carried by which one is called.  Each takes eight arguments, six
- * pointers and two lengths, because every argument ctypes converts costs
- * time on every call.  Both wrap ascon_aead, a compiled copy of the four
- * phases in aead.py, which stay the reference; the round function is the
- * one in permutation.py, on machine words, and ascon_duplex fuses it across
- * whole rate blocks.  Words are loaded and stored big-endian with byte
- * shifts, so the result does not depend on the host's byte order.  The only
- * branches are on loop counters and on the public lengths, mode and rate;
- * nothing branches on, or indexes memory by, key, state or data.
+ * The cipher core, in plain C with no Python headers: _kernelmodule.c is
+ * the CPython binding that calls it, and _accel.py compiles the two files
+ * into one extension module on first use.  Two symbols are exported,
+ * ascon_encrypt and ascon_decrypt; the direction is carried by which one is
+ * called.  Both wrap ascon_aead, a compiled copy of the four phases in
+ * aead.py, which stay the reference; the round function is the one in
+ * permutation.py, on machine words, and ascon_duplex fuses it across whole
+ * rate blocks.  Words are loaded and stored big-endian with byte shifts, so
+ * the result does not depend on the host's byte order.  The only branches
+ * are on loop counters and on the public lengths, mode and rate; nothing
+ * branches on, or indexes memory by, key, state or data.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -134,9 +134,8 @@ static void duplex_tail(uint64_t s[5], const unsigned char *in, unsigned char *o
 
 /* Encrypt (mode ENCRYPT) or decrypt (mode DECRYPT) one message: `len`
  * bytes from `in` to `out`, with `adlen` bytes of associated data.  `key`
- * and `nonce` are 16 bytes each.  `out` holds `len + 16` bytes: the output
- * first, then the 16-byte tag computed over the message, which a decrypting
- * caller compares with the one it received.
+ * and `nonce` are 16 bytes each.  The 16-byte tag computed over the message
+ * goes to `tag`; a decrypting caller compares it with the one it received.
  *
  * `params` is the 11-byte block of public parameters that aead.py packs
  * once per VariantParams:
@@ -146,12 +145,13 @@ static void duplex_tail(uint64_t s[5], const unsigned char *in, unsigned char *o
  *     byte 9      rounds_a: 6, 8 or 12
  *     byte 10     rounds_b: 6, 8 or 12
  *
- * VariantParams accepts no other values, and the caller checks the key and
- * nonce lengths.
+ * The caller checks these values and the key and nonce lengths; any other
+ * rate makes duplex_tail write past its block.
  */
 static void ascon_aead(unsigned mode, const unsigned char *params, const unsigned char *key,
                        const unsigned char *nonce, const unsigned char *ad, size_t adlen,
-                       const unsigned char *in, size_t len, unsigned char *out)
+                       const unsigned char *in, size_t len, unsigned char *out,
+                       unsigned char *tag)
 {
     const unsigned rate = params[8], rounds_a = params[9], rounds_b = params[10];
     const uint64_t k1 = load64(key), k2 = load64(key + 8);
@@ -175,21 +175,21 @@ static void ascon_aead(unsigned mode, const unsigned char *params, const unsigne
     s[rate / 8] ^= k1;
     s[rate / 8 + 1] ^= k2;
     permute(s, rounds_a);
-    store64(out + len, s[3] ^ k1);
-    store64(out + len + 8, s[4] ^ k2);
+    store64(tag, s[3] ^ k1);
+    store64(tag + 8, s[4] ^ k2);
 }
 
 /* The two entry points; the arguments are those of ascon_aead. */
 void ascon_encrypt(const unsigned char *params, const unsigned char *key,
                    const unsigned char *nonce, const unsigned char *ad, size_t adlen,
-                   const unsigned char *in, size_t len, unsigned char *out)
+                   const unsigned char *in, size_t len, unsigned char *out, unsigned char *tag)
 {
-    ascon_aead(ENCRYPT, params, key, nonce, ad, adlen, in, len, out);
+    ascon_aead(ENCRYPT, params, key, nonce, ad, adlen, in, len, out, tag);
 }
 
 void ascon_decrypt(const unsigned char *params, const unsigned char *key,
                    const unsigned char *nonce, const unsigned char *ad, size_t adlen,
-                   const unsigned char *in, size_t len, unsigned char *out)
+                   const unsigned char *in, size_t len, unsigned char *out, unsigned char *tag)
 {
-    ascon_aead(DECRYPT, params, key, nonce, ad, adlen, in, len, out);
+    ascon_aead(DECRYPT, params, key, nonce, ad, adlen, in, len, out, tag);
 }

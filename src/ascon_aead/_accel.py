@@ -1,43 +1,45 @@
-"""Optional compiled kernel (C through ctypes); resolved lazily by aead.
+"""Optional compiled kernel (a C extension module); resolved lazily by aead.
 
 When it loads, aead.encrypt and aead.decrypt run each whole message through
-it in one call (`encrypt`, `decrypt`).  The four phase functions of aead
-stay the reference path and handle every input when the kernel cannot be
-built or loaded.  The kernel, `_accel.c`, is a compiled copy of those
-phases over the same round function on machine words, and is pinned to the
-reference path bit-for-bit by the test suite.  Like the reference path it
-never branches on or indexes by secret values.
+it in one call: `encrypt` or `decrypt` of the module that load() returns.
+The four phase functions of aead stay the reference path and handle every
+input when the kernel cannot be built or loaded.  The kernel, `_accel.c`,
+is a compiled copy of those phases over the same round function on machine
+words, and is pinned to the reference path bit-for-bit by the test suite.
+Like the reference path it never branches on or indexes by secret values.
 
-A call crosses into C once, through `ascon_encrypt` or `ascon_decrypt`.
-Each takes six pointers and two lengths, since ctypes spends time on every
-argument it converts: the public parameters travel as the block that
-VariantParams packs once (`_kernel_params`, laid out in `_accel.c`), and
-the output and the tag come back in one buffer of len + 16 bytes.
+`_accel.c` is plain C.  `_kernelmodule.c` is its CPython binding, the
+module `ascon_aead._kernel`: a METH_FASTCALL function per direction that
+checks its arguments, writes the output and the tag straight into two new
+`bytes` objects, and releases the GIL while the kernel runs.  The public
+parameters travel as the block that VariantParams packs once
+(`_kernel_params`, laid out in `_accel.c`).
 
-Only the standard library and the system C compiler (`cc`) are needed.  On
-first use the source is compiled into a cache keyed by a hash of the
-source, the compile command and the platform: the `__pycache__` directory
-next to this file, or, when that is not writable, a private per-user
-directory under the system temporary directory.  Later processes load the
-cached library without compiling.
+Only the standard library, the CPython headers and the system C compiler
+(`cc`) are needed.  On first use the two files are compiled into a cache
+keyed by a hash of both sources, the compile command, the header directory,
+the interpreter's extension suffix and the platform: the `__pycache__`
+directory next to this file, or, when that is not writable, a private
+per-user directory under the system temporary directory.  Later processes
+load the cached module without compiling.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import hashlib
 import os
-import shutil
-import stat
 import sysconfig
-import tempfile
 import threading
+from importlib.machinery import ExtensionFileLoader, ModuleSpec
 from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("_accel.c")
+_BINDING = Path(__file__).with_name("_kernelmodule.c")
+_MODULE = "ascon_aead._kernel"  # the name its PyInit function is looked up by
 _COMPILER = "cc"
-_CFLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
+_CFLAGS = ("-O2", "-DNDEBUG", "-std=c99", "-shared", "-fPIC")
+_INCLUDE = sysconfig.get_paths()["include"]  # where Python.h is
+_EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")  # the interpreter's ABI tag
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
 _COMPILE_TIMEOUT_S = 120
 
@@ -46,8 +48,7 @@ UNAVAILABLE_REASON: str | None = None
 #: The path of the loaded library; None until load() succeeds.
 LIBRARY: str | None = None
 
-_encrypt = _decrypt = None  # the bound C functions, once load() has succeeded
-_TAG_BYTES = 16
+_kernel = None  # the extension module, once load() has succeeded
 _lock = threading.Lock()
 
 
@@ -55,47 +56,47 @@ class _Unavailable(Exception):
     """The kernel cannot be built or loaded here; the message says why."""
 
 
-def load() -> bool:
-    """Build or load the kernel once per process; True when it can be used.
+def load():
+    """Build or load the kernel once per process; the module, or None when unusable.
 
     Only the expected failures fall back to the pure path: no compiler on
-    PATH, a failed compile, no usable cache directory, or a library the
-    dynamic loader rejects.  Their reason is kept in UNAVAILABLE_REASON.
-    Anything else is a fault and propagates.
+    PATH, a failed compile (no CPython headers, say), no usable cache
+    directory, or a library the interpreter cannot load.  Their reason is
+    kept in UNAVAILABLE_REASON.  Anything else is a fault and propagates.
     """
-    global _encrypt, _decrypt, LIBRARY, UNAVAILABLE_REASON
+    global _kernel, LIBRARY, UNAVAILABLE_REASON
     with _lock:
-        if _encrypt is None and UNAVAILABLE_REASON is None:
+        if _kernel is None and UNAVAILABLE_REASON is None:
             try:
                 path = _library()
-                _encrypt, _decrypt = _bind(path)
+                _kernel = _import(path)
                 LIBRARY = str(path)
             except _Unavailable as exc:
                 UNAVAILABLE_REASON = str(exc)
-        return _encrypt is not None
+        return _kernel
 
 
-def _bind(path: Path):
-    """(ascon_encrypt, ascon_decrypt) from the library at `path`, with their signature."""
+def _import(path: Path):
+    """The extension module in the library at `path`."""
+    loader = ExtensionFileLoader(_MODULE, str(path))
     try:
-        lib = ctypes.CDLL(str(path))
-    except OSError as exc:
+        module = loader.create_module(ModuleSpec(_MODULE, loader, origin=str(path)))
+    except ImportError as exc:
         raise _Unavailable(f"cannot load {path}: {exc}") from exc
-    buf, size = ctypes.c_char_p, ctypes.c_size_t
-    fns = lib.ascon_encrypt, lib.ascon_decrypt
-    for fn in fns:
-        # params, key, nonce, ad, adlen, in, len, out
-        fn.argtypes = (buf, buf, buf, buf, size, buf, size, buf)
-        fn.restype = None
-    return fns
+    loader.exec_module(module)
+    return module
+
+
+def _library_name() -> str:
+    """The cache file name: a hash of everything the built library depends on."""
+    key = repr((_COMPILER, _CFLAGS, _INCLUDE, _EXT_SUFFIX, sysconfig.get_platform(),
+                _SOURCE.read_bytes(), _BINDING.read_bytes()))
+    return f"_accel-{hashlib.sha256(key.encode()).hexdigest()[:16]}{_EXT_SUFFIX}"
 
 
 def _library() -> Path:
     """The built kernel, from the first usable cache directory; compiled there if absent."""
-    key = hashlib.sha256(
-        repr((_COMPILER, _CFLAGS, sysconfig.get_platform())).encode() + _SOURCE.read_bytes()
-    ).hexdigest()[:16]
-    name = f"_accel-{key}.so"
+    name = _library_name()
     problems = []
     for directory in (_package_cache, _private_temp_dir):
         try:
@@ -119,6 +120,9 @@ def _private_temp_dir() -> Path:
     A library planted there by someone else would run in this process, so
     one that belongs to another user or that others can write is refused.
     """
+    import stat
+    import tempfile
+
     if not hasattr(os, "getuid"):
         raise OSError("no per-user temporary directory on this platform")
     uid = os.getuid()
@@ -138,7 +142,11 @@ def _compile(target: Path) -> None:
     the directory is not writable and _Unavailable when there is no
     compiler or the compile fails.
     """
-    import subprocess  # only a compile needs it; loading a cached library does not
+    # only a compile needs these; loading a cached library does not
+    import contextlib
+    import shutil
+    import subprocess
+    import tempfile
 
     fd, tmp = tempfile.mkstemp(prefix=f"{target.stem}-", suffix=".tmp", dir=target.parent)
     os.close(fd)
@@ -148,7 +156,7 @@ def _compile(target: Path) -> None:
             raise _Unavailable(f"C compiler {_COMPILER!r} not found on PATH")
         try:
             proc = subprocess.run(
-                [compiler, *_CFLAGS, "-o", tmp, str(_SOURCE)],
+                [compiler, *_CFLAGS, f"-I{_INCLUDE}", "-o", tmp, str(_SOURCE), str(_BINDING)],
                 capture_output=True,
                 text=True,
                 timeout=_COMPILE_TIMEOUT_S,
@@ -164,29 +172,3 @@ def _compile(target: Path) -> None:
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
-
-
-def encrypt(params, key: bytes, nonce: bytes, ad: bytes, plaintext: bytes):
-    """aead.encrypt in one C call: (ciphertext, tag).
-
-    Like decrypt, this relies on load() having returned True and on the
-    caller's checks: every input is `bytes`, key and nonce are 16 bytes, and
-    `params` is a VariantParams.  The buffer is fresh per call: ctypes
-    releases the GIL, so threads run this at once.
-    """
-    n = len(plaintext)
-    out = (ctypes.c_char * (n + _TAG_BYTES))()
-    _encrypt(params._kernel_params, key, nonce, ad, len(ad), plaintext, n, out)
-    return out[:n], out[n:]
-
-
-def decrypt(params, key: bytes, nonce: bytes, ad: bytes, ciphertext: bytes):
-    """aead.decrypt in one C call, without the tag check: (output buffer, expected tag).
-
-    The buffer holds the plaintext in its first len(ciphertext) bytes; the
-    caller compares the tags and reads the plaintext only when they match.
-    """
-    n = len(ciphertext)
-    out = (ctypes.c_char * (n + _TAG_BYTES))()
-    _decrypt(params._kernel_params, key, nonce, ad, len(ad), ciphertext, n, out)
-    return out, out[n:]

@@ -38,7 +38,7 @@ KEY_BYTES = 16
 NONCE_BYTES = 16
 TAG_BYTES = 16
 
-_accel_backend = None  # not probed yet; becomes the module or False
+_accel_backend = None  # not probed yet; becomes the kernel module or False
 
 
 class AuthenticationFailure(Exception):
@@ -112,7 +112,7 @@ def _as_bytes(name: str, value) -> bytes:
 
 
 def _get_accel():
-    """Resolve the compiled-kernel backend once; None if unavailable.
+    """Resolve the compiled-kernel backend once: its extension module, or None.
 
     Why the kernel could not be built or loaded is kept in
     `_accel.UNAVAILABLE_REASON`.
@@ -121,7 +121,7 @@ def _get_accel():
     if _accel_backend is None:
         from . import _accel
 
-        _accel_backend = _accel if _accel.load() else False
+        _accel_backend = _accel.load() or False
     return _accel_backend or None
 
 
@@ -138,7 +138,7 @@ def backend_info() -> dict:
     accel = _get_accel()
     return {
         "backend": "pure" if accel is None else "kernel",
-        "library": None if accel is None else accel.LIBRARY,
+        "library": None if accel is None else _accel.LIBRARY,
         "unavailable_reason": _accel.UNAVAILABLE_REASON,
     }
 
@@ -300,7 +300,7 @@ def encrypt(
         _check_key_nonce(params, key, nonce)
     accel = _get_accel()
     if accel is not None:
-        return accel.encrypt(params, key, nonce, associated_data, plaintext)
+        return accel.encrypt(params._kernel_params, key, nonce, associated_data, plaintext)
     state = initialize(params, key, nonce)
     state = process_associated_data(state, params, associated_data)
     state, ciphertext = encrypt_data(state, params, plaintext)
@@ -337,7 +337,9 @@ def decrypt(
             raise ValueError(f"tag must be {params.tag_bytes} bytes, got {len(tag)}")
     accel = _get_accel()
     if accel is not None:
-        plaintext, expected = accel.decrypt(params, key, nonce, associated_data, ciphertext)
+        plaintext, expected = accel.decrypt(
+            params._kernel_params, key, nonce, associated_data, ciphertext
+        )
     else:
         state = initialize(params, key, nonce)
         state = process_associated_data(state, params, associated_data)
@@ -345,4 +347,4 @@ def decrypt(
         expected = finalize(state, params, key)
     if not hmac.compare_digest(expected, tag):
         raise AuthenticationFailure("authentication failed")
-    return plaintext[: len(ciphertext)]  # the kernel's buffer also holds the tag
+    return plaintext

@@ -37,7 +37,7 @@ def fresh_loader(monkeypatch):
     """Forget the loaded kernel for one test, so the next call builds or loads it anew."""
     from ascon_aead import _accel
 
-    for name in ("_encrypt", "_decrypt", "LIBRARY", "UNAVAILABLE_REASON"):
+    for name in ("_kernel", "LIBRARY", "UNAVAILABLE_REASON"):
         monkeypatch.setattr(_accel, name, None)
     monkeypatch.setattr(aead, "_accel_backend", None)
 

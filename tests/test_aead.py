@@ -351,13 +351,13 @@ class TestInputContract:
 
     @pytest.mark.parametrize("short", ["key", "nonce", "tag"])
     def test_short_inputs_never_reach_the_kernel(self, backend, monkeypatch, short):
-        from ascon_aead import _accel
-
         def must_not_run(*args):
             raise AssertionError("the kernel was called")
 
-        monkeypatch.setattr(_accel, "_encrypt", must_not_run)
-        monkeypatch.setattr(_accel, "_decrypt", must_not_run)
+        kernel = aead._get_accel()
+        if kernel is not None:
+            monkeypatch.setattr(kernel, "encrypt", must_not_run)
+            monkeypatch.setattr(kernel, "decrypt", must_not_run)
         inputs = {"key": KEY, "nonce": NONCE, "tag": bytes(16)}
         inputs[short] = bytes(15)
         with pytest.raises(ValueError, match=short):
@@ -365,6 +365,29 @@ class TestInputContract:
         if short != "tag":
             with pytest.raises(ValueError, match=short):
                 encrypt(ASCON_128, inputs["key"], inputs["nonce"], b"", b"")
+
+
+_IV_WORD = ASCON_128._kernel_params[:8]
+
+#: case -> (argument position, value, error) for a direct call of the kernel module
+BAD_KERNEL_ARGS = {
+    "params-str": (0, "p" * 11, TypeError),
+    "key-str": (1, "k" * 16, TypeError),
+    "key-bytearray": (1, bytearray(16), TypeError),
+    "nonce-memoryview": (2, memoryview(bytes(16)), TypeError),
+    "ad-str": (3, "ad", TypeError),
+    "data-bytearray": (4, bytearray(b"data"), TypeError),
+    "params-10-bytes": (0, bytes(10), ValueError),
+    "params-12-bytes": (0, bytes(12), ValueError),
+    "key-15-bytes": (1, bytes(15), ValueError),
+    "key-17-bytes": (1, bytes(17), ValueError),
+    "nonce-15-bytes": (2, bytes(15), ValueError),
+    "nonce-empty": (2, b"", ValueError),
+    "rate-200": (0, _IV_WORD + bytes((200, 12, 6)), ValueError),
+    "rate-0": (0, _IV_WORD + bytes((0, 12, 6)), ValueError),
+    "rounds-a-13": (0, _IV_WORD + bytes((8, 13, 6)), ValueError),
+    "rounds-b-255": (0, _IV_WORD + bytes((16, 12, 255)), ValueError),
+}
 
 
 @pytest.mark.skipif(
@@ -402,8 +425,9 @@ class TestAcceleratedPath:
             assert decrypt(params, key, nonce, ad, *fast) == pt
 
     def test_threads_get_their_own_state_buffers(self, monkeypatch):
-        # ctypes releases the GIL, so calls from threads overlap in C; a
-        # buffer shared between calls would hand one thread another's output
+        # the kernel module releases the GIL, so calls from threads overlap
+        # in C; a buffer shared between calls would hand one thread another's
+        # output
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
@@ -462,39 +486,114 @@ class TestAcceleratedPath:
         blocker.write_bytes(b"")
         monkeypatch.setattr(_accel, "_CACHE_DIR", blocker / "__pycache__")
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        assert _accel.load(), _accel.UNAVAILABLE_REASON
+        kernel = _accel.load()
+        assert kernel, _accel.UNAVAILABLE_REASON
         private = tmp_path / f"ascon-aead-{os.getuid()}"
         assert [p.suffix for p in private.iterdir()] == [".so"]
         assert aead.backend_info()["library"] == str(next(private.iterdir()))
         assert private.stat().st_mode & 0o777 == 0o700
-        fast = _accel.encrypt(ASCON_128, KEY, NONCE, b"ad", b"message")
+        fast = kernel.encrypt(ASCON_128._kernel_params, KEY, NONCE, b"ad", b"message")
         monkeypatch.setattr(aead, "_accel_backend", False)
         assert fast == encrypt(ASCON_128, KEY, NONCE, b"ad", b"message")
 
+    @pytest.mark.parametrize("direction", ["encrypt", "decrypt"])
+    @pytest.mark.parametrize("case", sorted(BAD_KERNEL_ARGS))
+    def test_kernel_module_checks_its_own_arguments(self, direction, case):
+        # Called directly, past aead's checks, the module must refuse what
+        # would make the kernel read or write outside its buffers.
+        position, value, error = BAD_KERNEL_ARGS[case]
+        kernel = aead._get_accel()
+        args = [ASCON_128._kernel_params, KEY, NONCE, b"ad", bytes(40)]
+        args[position] = value
+        with pytest.raises(error) as info:
+            getattr(kernel, direction)(*args)
+        assert KEY.hex() not in str(info.value)
+        with pytest.raises(TypeError):
+            getattr(kernel, direction)(*args[:4])
+
+    def test_round_trips_leak_no_memory(self):
+        # One bytes object or tuple left unreleased per call would add
+        # ~50k allocated blocks; forged tags take the exception path.
+        import gc
+        import sys
+
+        messages = [bytes(range(n % 70)) for n in range(25_000)]
+
+        def run():
+            for i, pt in enumerate(messages):
+                nonce = (i & 0xFF).to_bytes(16, "big")
+                ct, tag = encrypt(ASCON_128A, KEY, nonce, pt[:7], pt)
+                if i % 8 == 0:
+                    with pytest.raises(AuthenticationFailure):
+                        decrypt(ASCON_128A, KEY, nonce, pt[:7], ct, bytes(16))
+                else:
+                    decrypt(ASCON_128A, KEY, nonce, pt[:7], ct, tag)
+
+        run()  # warm up the caches a first run may fill
+        gc.collect()
+        before = sys.getallocatedblocks()
+        run()
+        run()
+        gc.collect()
+        assert sys.getallocatedblocks() - before < 1000
+
+
+def test_library_name_covers_sources_flags_headers_and_abi(tmp_path):
+    from ascon_aead import _accel
+
+    base = _accel._library_name()
+    assert base == _accel._library_name()
+    assert base.endswith(_accel._EXT_SUFFIX)
+    for name in ("_SOURCE", "_BINDING"):
+        edited = tmp_path / f"{name}.c"
+        edited.write_bytes(getattr(_accel, name).read_bytes() + b"\n")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_accel, name, edited)
+            assert _accel._library_name() != base, name
+    for name, value in [
+        ("_COMPILER", "gcc"),
+        ("_CFLAGS", (*_accel._CFLAGS, "-g")),
+        ("_INCLUDE", str(tmp_path)),
+        ("_EXT_SUFFIX", ".cpython-399-x86_64-linux-gnu.so"),
+    ]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_accel, name, value)
+            assert _accel._library_name() != base, name
+
 
 @pytest.mark.parametrize(
-    "compiler, reason", [("no-such-cc", "not found on PATH"), ("false", "failed with exit")]
+    "setting, value, reason",
+    [
+        ("_COMPILER", "no-such-cc", "'no-such-cc' not found on PATH"),
+        ("_COMPILER", "false", "false failed with exit"),
+        ("_INCLUDE", "headers", "Python.h"),  # a header directory without Python.h
+    ],
 )
 def test_kernel_fallback_keeps_pure_path_and_reason(
-    compiler, reason, kat_records, monkeypatch, tmp_path, fresh_loader
+    setting, value, reason, kat_records, monkeypatch, tmp_path, fresh_loader
 ):
     from ascon_aead import _accel
     from ascon_aead.kat import run_kat
 
-    # an empty cache, a compiler that is missing or fails, and no load tried yet
-    monkeypatch.setattr(_accel, "_CACHE_DIR", tmp_path)
-    monkeypatch.setattr(_accel, "_COMPILER", compiler)
+    # an empty cache, a compiler that is missing or fails or no CPython
+    # headers, and no load tried yet
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    if setting == "_INCLUDE":
+        (tmp_path / value).mkdir()
+        value = str(tmp_path / value)
+    monkeypatch.setattr(_accel, "_CACHE_DIR", cache)
+    monkeypatch.setattr(_accel, setting, value)
     subset = kat_records["ascon128"][::37]
     report = run_kat(subset, ASCON_128)
     assert report.failed == 0
     assert report.passed == 2 * len(subset)
     assert aead._accel_backend is False
-    assert compiler in _accel.UNAVAILABLE_REASON
     assert reason in _accel.UNAVAILABLE_REASON
     assert aead.backend_info() == {
         "backend": "pure", "library": None, "unavailable_reason": _accel.UNAVAILABLE_REASON
     }
-    assert list(tmp_path.iterdir()) == [], "a failed build must leave no file behind"
+    assert list(cache.iterdir()) == [], "a failed build must leave no file behind"
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
@@ -508,11 +607,13 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
         pytest.skip("no C compiler on PATH")
     flags = ["-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Wconversion", "-Werror",
              "-O2", "-shared", "-fPIC"]
-    proc = subprocess.run(
-        [compiler, *flags, "-o", str(tmp_path / "kernel.so"), str(_accel._SOURCE)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    # the core on its own, without Python's headers, then with its binding
+    for extra in ([], [f"-I{_accel._INCLUDE}", str(_accel._BINDING)]):
+        proc = subprocess.run(
+            [compiler, *flags, "-o", str(tmp_path / "kernel.so"), str(_accel._SOURCE), *extra],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_kernel_entry_points_stay_inside_their_buffers(tmp_path):

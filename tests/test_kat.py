@@ -204,7 +204,8 @@ def test_kernel_mutant_is_detected(name, kat_records, monkeypatch, tmp_path, fre
     monkeypatch.setattr(_accel, "_SOURCE", mutated)
     monkeypatch.setattr(_accel, "_CACHE_DIR", tmp_path / "cache")
     report = run_kat(kat_records["ascon128"][:2], ASCON_128)
-    assert aead._accel_backend is _accel, _accel.UNAVAILABLE_REASON
+    assert aead._accel_backend is _accel.load(), _accel.UNAVAILABLE_REASON
+    assert _accel.LIBRARY.startswith(str(tmp_path / "cache"))
     assert any(
         f.count == earliest and f.direction == "encrypt" for f in report.failures
     ), f"kernel mutant {name!r} missed by record {earliest}"
