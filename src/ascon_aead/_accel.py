@@ -21,7 +21,10 @@ keyed by a hash of both sources, the compile command, the header directory,
 the interpreter's extension suffix and the platform: the `__pycache__`
 directory next to this file, or, when that is not writable, a private
 per-user directory under the system temporary directory.  Later processes
-load the cached module without compiling.
+load the cached module without compiling.  Right after a compile, the
+superseded builds for this interpreter in the same directory are deleted,
+so a process of an older source revision in the same checkout may then have
+to compile its own build again.
 """
 
 from __future__ import annotations
@@ -31,16 +34,18 @@ import os
 import sysconfig
 import threading
 from importlib.machinery import ExtensionFileLoader, ModuleSpec
-from pathlib import Path
 
-_SOURCE = Path(__file__).with_name("_accel.c")
-_BINDING = Path(__file__).with_name("_kernelmodule.c")
+# Paths are str.  Tests may set any os.PathLike, so they are only ever
+# passed to open() and os.* functions.
+_HERE = os.path.dirname(__file__)
+_SOURCE = os.path.join(_HERE, "_accel.c")
+_BINDING = os.path.join(_HERE, "_kernelmodule.c")
 _MODULE = "ascon_aead._kernel"  # the name its PyInit function is looked up by
 _COMPILER = "cc"
 _CFLAGS = ("-O2", "-DNDEBUG", "-std=c99", "-shared", "-fPIC")
 _INCLUDE = sysconfig.get_paths()["include"]  # where Python.h is
 _EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")  # the interpreter's ABI tag
-_CACHE_DIR = Path(__file__).with_name("__pycache__")
+_CACHE_DIR = os.path.join(_HERE, "__pycache__")
 _COMPILE_TIMEOUT_S = 120
 
 #: Why the kernel could not be built or loaded; None until load() fails.
@@ -70,38 +75,43 @@ def load():
             try:
                 path = _library()
                 _kernel = _import(path)
-                LIBRARY = str(path)
+                LIBRARY = path
             except _Unavailable as exc:
                 UNAVAILABLE_REASON = str(exc)
         return _kernel
 
 
-def _import(path: Path):
+def _import(path: str):
     """The extension module in the library at `path`."""
-    loader = ExtensionFileLoader(_MODULE, str(path))
+    loader = ExtensionFileLoader(_MODULE, path)
     try:
-        module = loader.create_module(ModuleSpec(_MODULE, loader, origin=str(path)))
+        module = loader.create_module(ModuleSpec(_MODULE, loader, origin=path))
     except ImportError as exc:
         raise _Unavailable(f"cannot load {path}: {exc}") from exc
     loader.exec_module(module)
     return module
 
 
+def _read(path) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
 def _library_name() -> str:
     """The cache file name: a hash of everything the built library depends on."""
     key = repr((_COMPILER, _CFLAGS, _INCLUDE, _EXT_SUFFIX, sysconfig.get_platform(),
-                _SOURCE.read_bytes(), _BINDING.read_bytes()))
+                _read(_SOURCE), _read(_BINDING)))
     return f"_accel-{hashlib.sha256(key.encode()).hexdigest()[:16]}{_EXT_SUFFIX}"
 
 
-def _library() -> Path:
+def _library() -> str:
     """The built kernel, from the first usable cache directory; compiled there if absent."""
     name = _library_name()
     problems = []
     for directory in (_package_cache, _private_temp_dir):
         try:
-            path = directory() / name
-            if not path.is_file():
+            path = os.path.join(directory(), name)
+            if not os.path.isfile(path):
                 _compile(path)
             return path
         except OSError as exc:  # the directory cannot be created or written
@@ -109,12 +119,12 @@ def _library() -> Path:
     raise _Unavailable(f"no writable cache directory: {'; '.join(problems)}")
 
 
-def _package_cache() -> Path:
-    _CACHE_DIR.mkdir(exist_ok=True)
+def _package_cache():
+    os.makedirs(_CACHE_DIR, exist_ok=True)
     return _CACHE_DIR
 
 
-def _private_temp_dir() -> Path:
+def _private_temp_dir() -> str:
     """A directory under the system temp directory that only this user can write.
 
     A library planted there by someone else would run in this process, so
@@ -126,21 +136,21 @@ def _private_temp_dir() -> Path:
     if not hasattr(os, "getuid"):
         raise OSError("no per-user temporary directory on this platform")
     uid = os.getuid()
-    path = Path(tempfile.gettempdir()) / f"ascon-aead-{uid}"
-    path.mkdir(mode=0o700, exist_ok=True)
-    st = path.lstat()
+    path = os.path.join(tempfile.gettempdir(), f"ascon-aead-{uid}")
+    os.makedirs(path, 0o700, exist_ok=True)
+    st = os.lstat(path)
     if not stat.S_ISDIR(st.st_mode) or st.st_uid != uid or st.st_mode & 0o022:
         raise OSError(f"{path} is not a private directory")
     return path
 
 
-def _compile(target: Path) -> None:
+def _compile(target: str) -> None:
     """Compile the source to `target` by way of a temporary file beside it.
 
     os.replace makes the finished library appear at once, so a process
     racing this one never loads a half-written file.  Raises OSError when
     the directory is not writable and _Unavailable when there is no
-    compiler or the compile fails.
+    compiler or the compile fails.  Then deletes the builds it supersedes.
     """
     # only a compile needs these; loading a cached library does not
     import contextlib
@@ -148,7 +158,9 @@ def _compile(target: Path) -> None:
     import subprocess
     import tempfile
 
-    fd, tmp = tempfile.mkstemp(prefix=f"{target.stem}-", suffix=".tmp", dir=target.parent)
+    directory, name = os.path.split(target)
+    stem = os.path.splitext(name)[0]
+    fd, tmp = tempfile.mkstemp(prefix=f"{stem}-", suffix=".tmp", dir=directory)
     os.close(fd)
     try:
         compiler = shutil.which(_COMPILER)
@@ -156,7 +168,7 @@ def _compile(target: Path) -> None:
             raise _Unavailable(f"C compiler {_COMPILER!r} not found on PATH")
         try:
             proc = subprocess.run(
-                [compiler, *_CFLAGS, f"-I{_INCLUDE}", "-o", tmp, str(_SOURCE), str(_BINDING)],
+                [compiler, *_CFLAGS, f"-I{_INCLUDE}", "-o", tmp, _SOURCE, _BINDING],
                 capture_output=True,
                 text=True,
                 timeout=_COMPILE_TIMEOUT_S,
@@ -172,3 +184,23 @@ def _compile(target: Path) -> None:
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+    _prune(directory, name)
+
+
+def _prune(directory: str, keep: str) -> None:
+    """Delete the kernel builds in `directory` that `keep` supersedes.
+
+    A build is `_accel-<16 hex digits>` followed by this interpreter's
+    extension suffix, or by `.so` alone (a build from before the kernel was
+    an extension module).  Builds for other ABI tags and in-flight `.tmp`
+    files stay.  Any error is ignored: the new build is already in place.
+    """
+    import contextlib
+    import re
+
+    build = re.compile(rf"_accel-[0-9a-f]{{16}}(?:{re.escape(_EXT_SUFFIX)}|\.so)")
+    with contextlib.suppress(OSError):
+        for entry in os.listdir(directory):
+            if entry != keep and build.fullmatch(entry):
+                with contextlib.suppress(OSError):
+                    os.unlink(os.path.join(directory, entry))

@@ -28,7 +28,6 @@ immutable buffers, so transient copies live until garbage collection.)
 from __future__ import annotations
 
 import hmac
-from dataclasses import dataclass
 
 from . import permutation
 from .codec import bytes_from_word, pad_10star, word_from_bytes, xor_bytes
@@ -49,37 +48,73 @@ class AuthenticationFailure(Exception):
     """
 
 
-@dataclass(frozen=True)
 class VariantParams:
-    """One row of the cipher's parameter table."""
+    """One row of the cipher's parameter table: an immutable value.
 
-    name: str
-    rate_bytes: int  # data block size: 8 or 16
-    rounds_a: int  # initialization/finalization rounds
-    rounds_b: int  # data-phase rounds
-    iv_word: int  # parameter-encoding first state word
-    key_bytes: int = KEY_BYTES
-    nonce_bytes: int = NONCE_BYTES
-    tag_bytes: int = TAG_BYTES
+    The constructor rejects parameters the cipher does not use, and copies
+    and pickles are rebuilt through it, so no instance escapes the checks.
+    Equality, hashing and repr go by the eight fields in `_fields`.
+    """
 
-    def __post_init__(self) -> None:
+    _fields = ("name", "rate_bytes", "rounds_a", "rounds_b", "iv_word",
+               "key_bytes", "nonce_bytes", "tag_bytes")
+    __slots__ = _fields + ("_kernel_params",)
+
+    def __init__(
+        self,
+        name: str,
+        rate_bytes: int,  # data block size: 8 or 16
+        rounds_a: int,  # initialization/finalization rounds
+        rounds_b: int,  # data-phase rounds
+        iv_word: int,  # parameter-encoding first state word
+        key_bytes: int = KEY_BYTES,
+        nonce_bytes: int = NONCE_BYTES,
+        tag_bytes: int = TAG_BYTES,
+    ) -> None:
+        if hasattr(self, "_kernel_params"):  # __init__ called again on a built one
+            raise AttributeError("cannot re-initialize an immutable VariantParams")
         # The compiled kernel relies on these; reject anything else up front.
-        if self.rate_bytes not in (8, 16):
-            raise ValueError(f"rate must be 8 or 16 bytes, got {self.rate_bytes}")
-        if self.rounds_a not in VALID_ROUNDS or self.rounds_b not in VALID_ROUNDS:
+        if rate_bytes not in (8, 16):
+            raise ValueError(f"rate must be 8 or 16 bytes, got {rate_bytes}")
+        if rounds_a not in VALID_ROUNDS or rounds_b not in VALID_ROUNDS:
             raise ValueError(f"round counts must be in {VALID_ROUNDS}")
-        sizes = (self.key_bytes, self.nonce_bytes, self.tag_bytes)
-        if sizes != (KEY_BYTES, NONCE_BYTES, TAG_BYTES):
+        if (key_bytes, nonce_bytes, tag_bytes) != (KEY_BYTES, NONCE_BYTES, TAG_BYTES):
             raise ValueError("key, nonce and tag must be 16 bytes each")
-        if not 0 <= self.iv_word < 1 << 64:
+        if not 0 <= iv_word < 1 << 64:
             raise ValueError("iv_word must be a 64-bit unsigned integer")
         # The public parameters as the kernel reads them, laid out in
         # _accel.c: IV (8 bytes, big-endian), rate, rounds_a, rounds_b.
-        # Not a field; the class is frozen and dataclasses.replace runs this
-        # again, so it always matches the fields.
-        packed = self.iv_word.to_bytes(8, "big")
-        packed += bytes((self.rate_bytes, self.rounds_a, self.rounds_b))
-        object.__setattr__(self, "_kernel_params", packed)
+        # Not a field; it is packed only here, so it always matches them.
+        packed = iv_word.to_bytes(8, "big") + bytes((rate_bytes, rounds_a, rounds_b))
+        values = (name, rate_bytes, rounds_a, rounds_b, iv_word,
+                  key_bytes, nonce_bytes, tag_bytes, packed)
+        for slot, value in zip(self.__slots__, values):
+            object.__setattr__(self, slot, value)
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, field) for field in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable VariantParams")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable VariantParams")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __init__, checks included
+        return type(self), self._astuple()
 
 
 ASCON_128 = VariantParams(

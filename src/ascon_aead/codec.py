@@ -52,9 +52,14 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 def hex_decode(text: str) -> bytes:
     """Decode hex text (case-insensitive, empty allowed) to bytes."""
-    # bytes.fromhex alone would also accept whitespace, so check the set first
-    if _HEX_DIGITS.issuperset(text) and not len(text) % 2:
-        return bytes.fromhex(text)
+    try:
+        out = bytes.fromhex(text)
+    except ValueError:
+        pass
+    else:
+        # fromhex skips whitespace, which then shows as a length mismatch
+        if 2 * len(out) == len(text):
+            return out
     for i, ch in enumerate(text):
         if ch not in _HEX_DIGITS:
             raise HexError(f"invalid hex character {ch!r}", i)

@@ -16,7 +16,7 @@ the tag and reproduce PT.  Failures are data in the report, not exceptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import aead
 from .codec import HexError, hex_decode
@@ -33,16 +33,10 @@ class KatParseError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
-class KatRecord:
+class KatRecord(namedtuple("KatRecord", "count key nonce pt ad ct_and_tag")):
     """One test vector; ct_and_tag is the raw CT field (ciphertext || tag)."""
 
-    count: int
-    key: bytes
-    nonce: bytes
-    pt: bytes
-    ad: bytes
-    ct_and_tag: bytes
+    __slots__ = ()
 
     @property
     def ciphertext(self) -> bytes:
@@ -53,24 +47,26 @@ class KatRecord:
         return self.ct_and_tag[-16:]
 
 
-@dataclass(frozen=True)
-class KatFailure:
-    count: int
-    direction: str  # "encrypt" or "decrypt"
-    field: str  # first divergent field: "CT", "TAG", or "PT"
+class KatFailure(namedtuple("KatFailure", "count direction field")):
+    """One failed direction of one record.
+
+    direction is "encrypt" or "decrypt"; field is the first divergent
+    field: "CT", "TAG", or "PT".
+    """
+
+    __slots__ = ()
 
     def line(self) -> str:
         return f"FAIL count={self.count} dir={self.direction} field={self.field}"
 
 
-@dataclass(frozen=True)
-class KatReport:
-    """Aggregate over both directions: passed + failed == 2 * total."""
+class KatReport(namedtuple("KatReport", "total passed failed failures")):
+    """Aggregate over both directions: passed + failed == 2 * total.
 
-    total: int
-    passed: int
-    failed: int
-    failures: tuple[KatFailure, ...]
+    failures is a tuple of KatFailure.
+    """
+
+    __slots__ = ()
 
     def summary(self) -> str:
         return f"total={self.total} passed={self.passed} failed={self.failed}"
@@ -92,12 +88,7 @@ def _finish_record(
             f"counts must increase: {count} after {prev_count}", line_number
         )
     record = KatRecord(
-        count=count,
-        key=fields["Key"],
-        nonce=fields["Nonce"],
-        pt=fields["PT"],
-        ad=fields["AD"],
-        ct_and_tag=fields["CT"],
+        count, fields["Key"], fields["Nonce"], fields["PT"], fields["AD"], fields["CT"]
     )
     if len(record.key) != 16:
         raise KatParseError(f"record {count}: key must be 16 bytes", line_number)

@@ -9,7 +9,7 @@ the S-box is evaluated purely as XOR/AND/NOT word operations.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -24,18 +24,14 @@ ROTATIONS = ((19, 28), (61, 39), (1, 6), (10, 17), (7, 41))
 VALID_ROUNDS = (6, 8, 12)
 
 
-class State(NamedTuple):
-    """The permutation state as five 64-bit words; a plain immutable value.
+class State(namedtuple("State", "s0 s1 s2 s3 s4")):
+    """The permutation state as five 64-bit words s0..s4; a plain immutable value.
 
     All word arithmetic is modulo 2**64 and strictly unsigned; functions in
     this module keep every word in 0..2**64-1.
     """
 
-    s0: int
-    s1: int
-    s2: int
-    s3: int
-    s4: int
+    __slots__ = ()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "State":

@@ -46,6 +46,12 @@ def accel_available() -> bool:
     return aead._get_accel() is not None
 
 
+def variant_like(base: aead.VariantParams, **changes) -> aead.VariantParams:
+    """A variant with `base`'s fields and `changes`, built through the validating constructor."""
+    fields = {name: getattr(base, name) for name in aead.VariantParams._fields}
+    return aead.VariantParams(**{**fields, **changes})
+
+
 @pytest.fixture(params=["pure", "kernel"])
 def backend(request, monkeypatch):
     """Run the test once on the reference path and once on the compiled kernel."""

@@ -1,5 +1,7 @@
-import dataclasses
+import copy
+import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,7 +22,7 @@ from ascon_aead.aead import (
 )
 from ascon_aead.permutation import State, permute
 
-from conftest import accel_available
+from conftest import accel_available, variant_like
 
 KEY = bytes(range(16))
 NONCE = bytes(range(16))
@@ -73,7 +75,56 @@ class TestVariantParams:
     )
     def test_rejects_parameters_the_cipher_does_not_use(self, field, value):
         with pytest.raises(ValueError):
-            dataclasses.replace(ASCON_128, **{field: value})
+            variant_like(ASCON_128, **{field: value})
+
+    def test_is_immutable(self):
+        with pytest.raises(AttributeError):
+            ASCON_128.rounds_b = 8
+        with pytest.raises(AttributeError):
+            ASCON_128._kernel_params = bytes(11)
+        with pytest.raises(AttributeError):
+            del ASCON_128.iv_word
+        with pytest.raises(AttributeError):
+            ASCON_128.extra = 1  # no per-instance attributes
+        with pytest.raises(AttributeError):
+            ASCON_128.__init__("ASCON-128", 16, 12, 8, 0)
+        assert (ASCON_128.rate_bytes, ASCON_128.rounds_b, ASCON_128.iv_word) == (
+            8, 6, 0x80400C0600000000
+        )
+
+    def test_equality_hash_and_repr_go_by_the_fields(self):
+        twin = variant_like(ASCON_128)
+        assert twin is not ASCON_128
+        assert twin == ASCON_128
+        assert hash(twin) == hash(ASCON_128)
+        assert twin._kernel_params == ASCON_128._kernel_params
+        assert variant_like(ASCON_128, name="other") != ASCON_128
+        assert ASCON_128 != ASCON_128A
+        assert len({ASCON_128, twin, ASCON_128A}) == 2
+        assert repr(ASCON_128) == (
+            "VariantParams(name='ASCON-128', rate_bytes=8, rounds_a=12, rounds_b=6,"
+            f" iv_word={0x80400C0600000000}, key_bytes=16, nonce_bytes=16, tag_bytes=16)"
+        )
+
+    @BOTH
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_and_pickles_are_equal(self, params, clone):
+        twin = clone(params)
+        assert type(twin) is aead.VariantParams
+        assert twin == params
+        assert twin._kernel_params == params._kernel_params
+        assert encrypt(twin, KEY, NONCE, b"ad", b"pt") == encrypt(params, KEY, NONCE, b"ad", b"pt")
+
+    def test_unpickling_invalid_fields_is_rejected(self):
+        # protocol 0 writes each int field as text; rate_bytes is the only 8
+        blob = pickle.dumps(ASCON_128, protocol=0)
+        assert blob.count(b"I8\n") == 1
+        with pytest.raises(ValueError, match="rate must be 8 or 16"):
+            pickle.loads(blob.replace(b"I8\n", b"I32\n"))
 
     @pytest.mark.parametrize(
         "base, changes",
@@ -89,7 +140,7 @@ class TestVariantParams:
     def test_every_parameter_field_reaches_the_backend(self, backend, base, changes):
         # The same name with other values: a parameter block cached per class
         # or per variant name would give the base variant's output.
-        params = dataclasses.replace(base, **changes)
+        params = variant_like(base, **changes)
         r = params.rate_bytes
         # every pair of lengths runs p^b at least once, so rounds_b shows too
         for ad_len, pt_len in [(0, r), (r - 1, r - 1), (r, r + 1), (2 * r + 1, 3 * r - 1)]:
@@ -496,6 +547,38 @@ class TestAcceleratedPath:
         monkeypatch.setattr(aead, "_accel_backend", False)
         assert fast == encrypt(ASCON_128, KEY, NONCE, b"ad", b"message")
 
+    def test_compile_prunes_superseded_builds_only(self, monkeypatch, tmp_path, fresh_loader):
+        from ascon_aead import _accel
+
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        old = "_accel-0123456789abcdef"
+        superseded = cache / f"{old}{_accel._EXT_SUFFIX}"
+        legacy = cache / f"{old}.so"  # a ctypes-era build
+        kept = [
+            cache / f"{old}.cpython-399-x86_64-linux-gnu.so",  # another interpreter's build
+            cache / f"{old}{_accel._EXT_SUFFIX[:-3]}-k3x9q2.tmp",  # another process compiling
+            cache / "_accel-0123.so",
+            cache / "notes.txt",
+        ]
+        for path in [superseded, legacy, *kept]:
+            path.write_bytes(b"")
+        # unlink fails on a directory; the error is ignored and the kernel loads
+        blocked = cache / f"_accel-fedcba9876543210{_accel._EXT_SUFFIX}"
+        blocked.mkdir()
+        monkeypatch.setattr(_accel, "_CACHE_DIR", cache)
+        assert _accel.load(), _accel.UNAVAILABLE_REASON
+        library = Path(_accel.LIBRARY)
+        assert library.parent == cache
+        assert sorted(cache.iterdir()) == sorted([library, blocked, *kept])
+        # loading a cached build deletes nothing
+        superseded.write_bytes(b"")
+        for name in ("_kernel", "LIBRARY"):
+            monkeypatch.setattr(_accel, name, None)
+        assert _accel.load()
+        assert _accel.LIBRARY == str(library)
+        assert superseded.exists()
+
     @pytest.mark.parametrize("direction", ["encrypt", "decrypt"])
     @pytest.mark.parametrize("case", sorted(BAD_KERNEL_ARGS))
     def test_kernel_module_checks_its_own_arguments(self, direction, case):
@@ -546,7 +629,7 @@ def test_library_name_covers_sources_flags_headers_and_abi(tmp_path):
     assert base.endswith(_accel._EXT_SUFFIX)
     for name in ("_SOURCE", "_BINDING"):
         edited = tmp_path / f"{name}.c"
-        edited.write_bytes(getattr(_accel, name).read_bytes() + b"\n")
+        edited.write_bytes(Path(getattr(_accel, name)).read_bytes() + b"\n")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_accel, name, edited)
             assert _accel._library_name() != base, name

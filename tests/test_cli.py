@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import pytest
@@ -6,7 +5,7 @@ import pytest
 from ascon_aead import aead, cli
 from ascon_aead.codec import hex_decode
 
-from conftest import kat_path
+from conftest import kat_path, variant_like
 
 KEY_HEX = "000102030405060708090A0B0C0D0E0F"
 NONCE_HEX = "000102030405060708090A0B0C0D0E0F"
@@ -323,7 +322,7 @@ class TestSelftest:
         assert KEY_HEX not in err.upper()
 
     def test_mutant_iv_exits_5(self, capsys, monkeypatch):
-        broken = dataclasses.replace(aead.ASCON_128, iv_word=0xDEADBEEF00000000)
+        broken = variant_like(aead.ASCON_128, iv_word=0xDEADBEEF00000000)
         monkeypatch.setitem(aead.VARIANTS, "ascon128", broken)
         rc = run_cli("selftest")
         assert rc == 5

@@ -15,6 +15,13 @@ from ascon_aead.codec import (
 from oracles import unpad_10star
 
 word = st.integers(min_value=0, max_value=2**64 - 1)
+HEX_DIGITS = "0123456789abcdefABCDEF"
+# hex text of either case, including mixed, as the KAT files and the CLI take it
+canonical_hex = st.text(HEX_DIGITS, max_size=80).map(lambda t: t[: len(t) - len(t) % 2])
+# whitespace, which bytes.fromhex would skip, and any other non-hex character
+not_hex = st.one_of(
+    st.sampled_from(" \t\n\r\x0b\x0c"), st.characters().filter(lambda c: c not in HEX_DIGITS)
+)
 
 
 class TestWordConversion:
@@ -122,6 +129,16 @@ class TestHex:
         # bytes.fromhex would skip the whitespace
         with pytest.raises(HexError) as info:
             hex_decode(text)
+        assert info.value.position == position
+        assert "invalid hex character" in str(info.value)
+
+    @given(canonical_hex, st.data())
+    def test_agrees_with_fromhex_and_names_the_inserted_character(self, text, data):
+        assert hex_decode(text) == bytes.fromhex(text)
+        position = data.draw(st.integers(min_value=0, max_value=len(text)))
+        bad = data.draw(not_hex)
+        with pytest.raises(HexError) as info:
+            hex_decode(text[:position] + bad + text[position:])
         assert info.value.position == position
         assert "invalid hex character" in str(info.value)
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from ascon_aead import _accel, aead
@@ -114,6 +116,25 @@ class TestParser:
             parse_kat_file(text)
 
 
+class TestRecordTypes:
+    def test_parsed_record_equals_hand_built_one(self):
+        key = nonce = bytes(range(16))
+        ct_and_tag = bytes.fromhex("BC18C3F4E39ECA7222490D967C79BFFC92")
+        record = KatRecord(2, key, nonce, b"\x00", b"", ct_and_tag)
+        assert parse_kat_file(WELL_FORMED)[1] == record
+        assert record.ciphertext == b"\xbc"
+        assert record.tag == ct_and_tag[1:]
+        assert len(record.tag) == 16
+
+    def test_record_is_immutable(self):
+        record = parse_kat_file(WELL_FORMED)[0]
+        with pytest.raises(AttributeError):
+            record.key = bytes(16)
+        with pytest.raises(AttributeError):
+            record.extra = 1  # no per-instance attributes
+        assert record.key == bytes(range(16))
+
+
 class TestRunKat:
     def test_official_vectors_all_pass(self, kat_records):
         for name, params in (("ascon128", ASCON_128), ("ascon128a", ASCON_128A)):
@@ -196,7 +217,7 @@ def test_kernel_mutant_is_detected(name, kat_records, monkeypatch, tmp_path, fre
     """A bug compiled into the kernel fails the same KAT record as its Python twin."""
     original, replacement = KERNEL_MUTANTS[name]
     earliest = BUG_MUTANTS[name][1]
-    source = _accel._SOURCE.read_text()
+    source = Path(_accel._SOURCE).read_text()
     assert original in source, f"mutant {name!r} no longer matches _accel.c"
     mutated = tmp_path / "_accel.c"
     mutated.write_text(source.replace(original, replacement))
