@@ -6,10 +6,13 @@ Both parameter sets drive the same four-phase duplex flow:
 
 The phase functions are exposed individually (they are pure State -> State
 transformers) so the trace tooling and tests can pin intermediate states.
-They are the reference definition of the cipher.  When the optional
-compiled kernel (`_accel`) loads, `encrypt` and `decrypt` run each message
-through it in one call, a compiled copy of these phases; otherwise they
-compose the phases here.  `backend_info` says which of the two runs.
+They are the reference definition of the cipher.  They handle the rate as
+one big-endian integer (s0, or s0 || s1), move blocks in and out of it
+with int.from_bytes/int.to_bytes, and run every permutation through
+`permute` below.  When the optional compiled kernel (`_accel`) loads,
+`encrypt` and `decrypt` run each message through it in one call, a
+compiled copy of these phases; otherwise they compose the phases here.
+`backend_info` says which of the two runs.
 
 Both check every argument.  Inputs that are already `bytes` with a key and
 nonce of the right length pass one combined test; anything else goes
@@ -30,8 +33,8 @@ from __future__ import annotations
 import hmac
 
 from . import permutation
-from .codec import bytes_from_word, pad_10star, word_from_bytes, xor_bytes
-from .permutation import VALID_ROUNDS, State
+from .codec import pad_10star
+from .permutation import MASK64, VALID_ROUNDS, State
 
 KEY_BYTES = 16
 NONCE_BYTES = 16
@@ -187,42 +190,24 @@ def permute(state: State, rounds: int = 12) -> State:
     return permutation.permute(state, rounds)
 
 
-def _rate_of(state: State, rate: int) -> bytes:
-    """The rate portion of the state as bytes (s0, or s0 || s1 for rate 16)."""
+def _rate_of(state: State, rate: int) -> int:
+    """The rate portion of the state as one big-endian integer: s0, or s0 || s1."""
+    return state.s0 if rate == 8 else state.s0 << 64 | state.s1
+
+
+def _with_rate(state: State, value: int, rate: int) -> State:
+    """The state with its rate portion replaced by `value`; inverse of _rate_of."""
     if rate == 8:
-        return bytes_from_word(state.s0)
-    return bytes_from_word(state.s0) + bytes_from_word(state.s1)
-
-
-def _absorb(state: State, block: bytes, rate: int) -> State:
-    """XOR one rate-sized block into the rate portion."""
-    if rate == 8:
-        return state._replace(s0=state.s0 ^ word_from_bytes(block))
-    return state._replace(
-        s0=state.s0 ^ word_from_bytes(block[:8]),
-        s1=state.s1 ^ word_from_bytes(block[8:]),
-    )
-
-
-def _overwrite_rate(state: State, block: bytes, rate: int) -> State:
-    """Replace the rate portion with a rate-sized block."""
-    if rate == 8:
-        return state._replace(s0=word_from_bytes(block))
-    return state._replace(s0=word_from_bytes(block[:8]), s1=word_from_bytes(block[8:]))
+        return state._replace(s0=value)
+    return state._replace(s0=value >> 64, s1=value & MASK64)
 
 
 def initialize(params: VariantParams, key: bytes, nonce: bytes) -> State:
     """Pack IV || K || N, run the a-round permutation, then XOR 0* || K in."""
     _check_key_nonce(params, key, nonce)
-    k1, k2 = word_from_bytes(key[:8]), word_from_bytes(key[8:])
-    state = State(
-        params.iv_word,
-        k1,
-        k2,
-        word_from_bytes(nonce[:8]),
-        word_from_bytes(nonce[8:]),
-    )
+    state = State.from_bytes(params.iv_word.to_bytes(8, "big") + key + nonce)
     state = permute(state, params.rounds_a)
+    k1, k2 = int.from_bytes(key[:8], "big"), int.from_bytes(key[8:], "big")
     return state._replace(s3=state.s3 ^ k1, s4=state.s4 ^ k2)
 
 
@@ -237,7 +222,8 @@ def process_associated_data(state: State, params: VariantParams, ad: bytes) -> S
         rate, rounds = params.rate_bytes, params.rounds_b
         padded = pad_10star(ad, rate)
         for off in range(0, len(padded), rate):
-            state = _absorb(state, padded[off : off + rate], rate)
+            block = int.from_bytes(padded[off : off + rate], "big")
+            state = _with_rate(state, _rate_of(state, rate) ^ block, rate)
             state = permute(state, rounds)
     return state._replace(s4=state.s4 ^ 1)
 
@@ -253,14 +239,15 @@ def encrypt_data(
     """
     rate, rounds = params.rate_bytes, params.rounds_b
     split = len(plaintext) - len(plaintext) % rate  # whole blocks, each permuted after
-    out = bytearray(len(plaintext))
+    out = bytearray()
     for off in range(0, split, rate):
-        state = _absorb(state, plaintext[off : off + rate], rate)
-        out[off : off + rate] = _rate_of(state, rate)
-        state = permute(state, rounds)
-    state = _absorb(state, pad_10star(plaintext[split:], rate), rate)
-    out[split:] = _rate_of(state, rate)[: len(plaintext) - split]
-    return state, bytes(out)
+        value = _rate_of(state, rate) ^ int.from_bytes(plaintext[off : off + rate], "big")
+        out += value.to_bytes(rate, "big")
+        state = permute(_with_rate(state, value, rate), rounds)
+    tail = plaintext[split:]
+    value = _rate_of(state, rate) ^ int.from_bytes(pad_10star(tail, rate), "big")
+    out += (value >> 8 * (rate - len(tail))).to_bytes(len(tail), "big")
+    return _with_rate(state, value, rate), bytes(out)
 
 
 def decrypt_data(
@@ -269,25 +256,25 @@ def decrypt_data(
     """Duplex-decrypt; exact inverse of encrypt_data on state and data.
 
     Full blocks: plaintext = rate XOR ciphertext block, then the ciphertext
-    block overwrites the rate and a permutation runs.  The final partial
-    block (possibly empty) overwrites only its own bytes and XORs 0x80 at
-    the next position, reconstructing the 1||0* padding the encryptor
-    absorbed there.
+    block becomes the rate and a permutation runs.  The final partial block
+    (possibly empty) yields the top bytes of the rate XOR the tail; the rate
+    then absorbs that padded plaintext tail, as encrypt_data absorbed it,
+    which leaves the ciphertext tail in its top bytes.
     """
     rate, rounds = params.rate_bytes, params.rounds_b
     split = len(ciphertext) - len(ciphertext) % rate
-    out = bytearray(len(ciphertext))
+    out = bytearray()
     for off in range(0, split, rate):
-        block = ciphertext[off : off + rate]
-        out[off : off + rate] = xor_bytes(_rate_of(state, rate), block)
-        state = _overwrite_rate(state, block, rate)
-        state = permute(state, rounds)
+        block = int.from_bytes(ciphertext[off : off + rate], "big")
+        out += (_rate_of(state, rate) ^ block).to_bytes(rate, "big")
+        state = permute(_with_rate(state, block, rate), rounds)
     tail = ciphertext[split:]
-    exposed = _rate_of(state, rate)
-    out[split:] = xor_bytes(exposed[: len(tail)], tail)
-    repadded = tail + bytes([exposed[len(tail)] ^ 0x80]) + exposed[len(tail) + 1 :]
-    state = _overwrite_rate(state, repadded, rate)
-    return state, bytes(out)
+    value = _rate_of(state, rate)
+    plain = value >> 8 * (rate - len(tail)) ^ int.from_bytes(tail, "big")
+    plaintext_tail = plain.to_bytes(len(tail), "big")
+    out += plaintext_tail
+    value ^= int.from_bytes(pad_10star(plaintext_tail, rate), "big")
+    return _with_rate(state, value, rate), bytes(out)
 
 
 def finalize(state: State, params: VariantParams, key: bytes) -> bytes:
@@ -298,13 +285,13 @@ def finalize(state: State, params: VariantParams, key: bytes) -> bytes:
     """
     if len(key) != params.key_bytes:
         raise ValueError(f"key must be {params.key_bytes} bytes, got {len(key)}")
-    k1, k2 = word_from_bytes(key[:8]), word_from_bytes(key[8:])
+    k1, k2 = int.from_bytes(key[:8], "big"), int.from_bytes(key[8:], "big")
     words = list(state)
     w = params.rate_bytes // 8
     words[w] ^= k1
     words[w + 1] ^= k2
     state = permute(State(*words), params.rounds_a)
-    return bytes_from_word(state.s3 ^ k1) + bytes_from_word(state.s4 ^ k2)
+    return (state.s3 ^ k1).to_bytes(8, "big") + (state.s4 ^ k2).to_bytes(8, "big")
 
 
 def encrypt(

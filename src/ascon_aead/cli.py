@@ -19,12 +19,10 @@ import argparse
 import contextlib
 import os
 import sys
-import tempfile
-from pathlib import Path
 
 from . import __version__, aead, kat
 from .codec import HexError, hex_decode, hex_encode
-from .permutation import ROUND_CONSTANTS, State, VALID_ROUNDS, linear_layer, substitution_layer
+from .permutation import State, VALID_ROUNDS, permute, substitution_layer
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -163,7 +161,8 @@ def _decode_flag(flag: str, text: str, expect_len: int | None = None) -> bytes:
 
 def _read_file(flag: str, path: str) -> bytes:
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as f:
+            return f.read()
     except OSError as exc:
         raise _IoFailure(f"{flag}: cannot read {path}: {exc.strerror}") from exc
 
@@ -210,13 +209,15 @@ def _write_out(path: str, data: bytes) -> None:
 
     The file is created readable and writable by its owner only.
     """
-    target = Path(path)
+    import tempfile
+
+    directory, name = os.path.split(path)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(prefix=f".{target.name}-", suffix=".tmp", dir=target.parent)
-        os.close(fd)
-        Path(tmp).write_bytes(data)
-        os.replace(tmp, target)
+        fd, tmp = tempfile.mkstemp(prefix=f".{name}-", suffix=".tmp", dir=directory or ".")
+        with open(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
     except OSError as exc:
         raise _IoFailure(f"--out: cannot write {path}: {exc.strerror}") from exc
     finally:
@@ -290,7 +291,8 @@ def cmd_decrypt(args) -> int:
 def cmd_kat(args) -> int:
     params = aead.VARIANTS[args.variant]
     try:
-        text = Path(args.path).read_text()
+        with open(args.path) as f:
+            text = f.read()
     except OSError as exc:
         raise _IoFailure(f"cannot read {args.path}: {exc.strerror}") from exc
     try:
@@ -326,33 +328,24 @@ def cmd_trace(args) -> int:
         params = aead.VARIANTS[args.variant]
         key = _decode_flag("--key", args.key, aead.KEY_BYTES)
         nonce = _decode_flag("--nonce", args.nonce, aead.NONCE_BYTES)
-        state = State(
-            params.iv_word,
-            int.from_bytes(key[:8], "big"),
-            int.from_bytes(key[8:], "big"),
-            int.from_bytes(nonce[:8], "big"),
-            int.from_bytes(nonce[8:], "big"),
-        )
+        state = State.from_bytes(params.iv_word.to_bytes(8, "big") + key + nonce)
     else:
         raise UsageError("a start state is required: pass --state, or --key with --nonce")
-    def emit(label: str) -> None:
+
+    def emit(label: str, state: State) -> None:
         print(f"{label:<22}: {_format_state(state)}")
 
-    emit("initial")
-    for index in range(12 - args.rounds, 12):
-        state = State(state.s0, state.s1, state.s2 ^ ROUND_CONSTANTS[index], state.s3, state.s4)
-        if args.verbose:
-            emit(f"round {index:2} post-constant")
-        state = substitution_layer(state)
-        if args.verbose:
-            emit(f"round {index:2} post-sbox")
-        state = linear_layer(state)
-        emit(f"round {index:2} post-linear")
+    def observe(index: int, step: str, state: State) -> None:
+        if args.verbose or step == "post-linear":
+            emit(f"round {index:2} {step}", state)
+
+    emit("initial", state)
+    state = permute(state, args.rounds, observe)
     if key is not None:
         # complete the initialization flow: XOR 0* || K into the last words
         k1, k2 = int.from_bytes(key[:8], "big"), int.from_bytes(key[8:], "big")
         state = state._replace(s3=state.s3 ^ k1, s4=state.s4 ^ k2)
-        emit("post-initialization")
+        emit("post-initialization", state)
     return EXIT_OK
 
 
@@ -374,8 +367,6 @@ def _selftest_checks():
         return len(seen) == 32
 
     def permute12_pinned() -> bool:
-        from .permutation import permute
-
         start = State(aead.VARIANTS["ascon128"].iv_word, 0, 0, 0, 0)
         return permute(start, 12) == _SMOKE_PERMUTE12
 
@@ -424,10 +415,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _IoFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (_IoFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

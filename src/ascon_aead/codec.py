@@ -1,9 +1,7 @@
-"""Byte/word packing, sponge padding, and hex text helpers.
+"""Sponge padding, byte XOR, and hex text helpers.
 
-All multi-byte values in the cipher are big-endian: the first byte of a
-block lands in the most significant byte of the state word.  Hex text is
-decoded case-insensitively and emitted uppercase, matching the KAT file
-convention.
+Hex text is decoded case-insensitively and emitted uppercase, matching the
+KAT file convention.
 """
 
 from __future__ import annotations
@@ -15,18 +13,6 @@ class HexError(ValueError):
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} at position {position}")
         self.position = position
-
-
-def word_from_bytes(b: bytes) -> int:
-    """Interpret exactly 8 bytes as a big-endian 64-bit word."""
-    if len(b) != 8:
-        raise ValueError(f"expected exactly 8 bytes, got {len(b)}")
-    return int.from_bytes(b, "big")
-
-
-def bytes_from_word(w: int) -> bytes:
-    """Emit a 64-bit word as 8 big-endian bytes; inverse of word_from_bytes."""
-    return w.to_bytes(8, "big")
 
 
 def pad_10star(data: bytes, rate_bytes: int) -> bytes:

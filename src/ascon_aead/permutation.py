@@ -55,13 +55,6 @@ def rotr64(x: int, r: int) -> int:
     return ((x >> r) | (x << (64 - r))) & MASK64
 
 
-def round_constant(round_index: int) -> int:
-    """Constant XORed into s2 in round `round_index` (0..11) of the full schedule."""
-    if not 0 <= round_index <= 11:
-        raise ValueError(f"round index must be in 0..11, got {round_index}")
-    return ROUND_CONSTANTS[round_index]
-
-
 def substitution_layer(state: State) -> State:
     """Apply the 5-bit S-box to all 64 bit-slices simultaneously.
 
@@ -103,17 +96,26 @@ def linear_layer(state: State) -> State:
     )
 
 
-def permute(state: State, rounds: int = 12) -> State:
+def permute(state: State, rounds: int = 12, observe=None) -> State:
     """Run `rounds` rounds (6, 8, or 12): add constant, S-box, linear diffusion.
 
     Reduced-round permutations use the tail of the 12-round constant
-    schedule, so the 6-round permutation runs rounds 6..11.
+    schedule, so the 6-round permutation runs rounds 6..11.  When `observe`
+    is given, it is called as observe(round_index, step, state) after each
+    step, with step "post-constant", "post-sbox" or "post-linear" and
+    round_index the position in the 12-round schedule.
     """
     if rounds not in VALID_ROUNDS:
         raise ValueError(f"round count must be one of {VALID_ROUNDS}, got {rounds}")
     s = state
-    for c in ROUND_CONSTANTS[12 - rounds :]:
-        s = State(s.s0, s.s1, s.s2 ^ c, s.s3, s.s4)
+    for index in range(12 - rounds, 12):
+        s = State(s.s0, s.s1, s.s2 ^ ROUND_CONSTANTS[index], s.s3, s.s4)
+        if observe is not None:
+            observe(index, "post-constant", s)
         s = substitution_layer(s)
+        if observe is not None:
+            observe(index, "post-sbox", s)
         s = linear_layer(s)
+        if observe is not None:
+            observe(index, "post-linear", s)
     return s

@@ -1,11 +1,13 @@
 """The implementation-bug catalogue as injectable mutants.
 
-Each BUG_MUTANTS entry patches one deliberate bug into the live Python
-modules (monkeypatch style) so tests can prove the KAT suite catches that
-whole bug class on the reference path.  The `detected_by` count is the
-earliest KAT record whose CT field must diverge: 1 for bugs visible with
-empty inputs, 2 (the first record with non-empty associated data) for the
-AD-phase bug.
+Each BUG_MUTANTS entry edits the source text of the one Python function it
+breaks, runs the edited copy in a copy of that module's globals, and
+monkeypatches the result in, so tests can prove the KAT suite catches that
+whole bug class on the reference path.  Each edit asserts that its text
+still matches the function, so a mutant cannot silently stop applying.
+The `detected_by` count is the earliest KAT record whose CT field must
+diverge: 1 for bugs visible with empty inputs, 2 (the first record with
+non-empty associated data) for the AD-phase bug.
 
 KERNEL_MUTANTS carries the same seven bug classes into the compiled kernel
 as edits of its C source, which a test builds and loads; each must be
@@ -14,102 +16,68 @@ caught by the same earliest record as its Python twin.
 
 from __future__ import annotations
 
-from ascon_aead import aead
-from ascon_aead import permutation
-from ascon_aead.codec import pad_10star, word_from_bytes
-from ascon_aead.permutation import MASK64, State, permute
+import inspect
+
+from ascon_aead import aead, permutation
 
 
-def _wrong_round_constants(monkeypatch):
-    monkeypatch.setattr(permutation, "ROUND_CONSTANTS", tuple(range(1, 13)))
+def _edit(module, name, *edits):
+    """apply(monkeypatch) replacing module.name by its source with `edits`.
 
+    Each edit is (text, replacement); every match of the text is replaced,
+    and the text must occur in the function's current source.
+    """
 
-def _left_rotation(monkeypatch):
-    def rotl64(x, r):
-        return ((x << r) | (x >> (64 - r))) & MASK64 if r else x
+    def apply(monkeypatch):
+        source = inspect.getsource(getattr(module, name))
+        for original, replacement in edits:
+            assert original in source, f"mutant no longer matches {module.__name__}.{name}"
+            source = source.replace(original, replacement)
+        namespace = dict(vars(module))
+        exec(compile(source, f"<mutant of {module.__name__}.{name}>", "exec"), namespace)
+        monkeypatch.setattr(module, name, namespace[name])
 
-    monkeypatch.setattr(permutation, "rotr64", rotl64)
-
-
-def _missing_linear_xor(monkeypatch):
-    def linear_no_input_xor(state):
-        s0, s1, s2, s3, s4 = state
-        rotr64 = permutation.rotr64
-        return State(
-            rotr64(s0, 19) ^ rotr64(s0, 28),
-            rotr64(s1, 61) ^ rotr64(s1, 39),
-            rotr64(s2, 1) ^ rotr64(s2, 6),
-            rotr64(s3, 10) ^ rotr64(s3, 17),
-            rotr64(s4, 7) ^ rotr64(s4, 41),
-        )
-
-    monkeypatch.setattr(permutation, "linear_layer", linear_no_input_xor)
-
-
-def _missing_init_key_xor(monkeypatch):
-    def initialize_without_key_xor(params, key, nonce):
-        state = State(
-            params.iv_word,
-            word_from_bytes(key[:8]),
-            word_from_bytes(key[8:]),
-            word_from_bytes(nonce[:8]),
-            word_from_bytes(nonce[8:]),
-        )
-        return permute(state, params.rounds_a)
-
-    monkeypatch.setattr(aead, "initialize", initialize_without_key_xor)
-
-
-def _extra_last_block_permutation(monkeypatch):
-    def encrypt_data_overpermuted(state, params, plaintext):
-        rate, rounds = params.rate_bytes, params.rounds_b
-        padded = pad_10star(plaintext, rate)
-        out = bytearray()
-        for off in range(0, len(padded), rate):
-            state = aead._absorb(state, padded[off : off + rate], rate)
-            out += aead._rate_of(state, rate)
-            state = permute(state, rounds)  # bug: also after the final block
-        return state, bytes(out[: len(plaintext)])
-
-    monkeypatch.setattr(aead, "encrypt_data", encrypt_data_overpermuted)
-
-
-def _missing_final_ad_permutation(monkeypatch):
-    def ad_without_final_permutation(state, params, ad):
-        if ad:
-            rate, rounds = params.rate_bytes, params.rounds_b
-            padded = pad_10star(ad, rate)
-            for off in range(0, len(padded), rate):
-                if off:
-                    state = permute(state, rounds)  # bug: between blocks only
-                state = aead._absorb(state, padded[off : off + rate], rate)
-        return state._replace(s4=state.s4 ^ 1)
-
-    monkeypatch.setattr(aead, "process_associated_data", ad_without_final_permutation)
-
-
-def _missing_domain_separator(monkeypatch):
-    def ad_without_domain_bit(state, params, ad):
-        if ad:
-            rate, rounds = params.rate_bytes, params.rounds_b
-            padded = pad_10star(ad, rate)
-            for off in range(0, len(padded), rate):
-                state = aead._absorb(state, padded[off : off + rate], rate)
-                state = permute(state, rounds)
-        return state  # bug: s4's low bit never flipped
-
-    monkeypatch.setattr(aead, "process_associated_data", ad_without_domain_bit)
+    return apply
 
 
 #: name -> (apply(monkeypatch), earliest KAT count whose CT must diverge)
 BUG_MUTANTS = {
-    "wrong round constants": (_wrong_round_constants, 1),
-    "left instead of right rotation": (_left_rotation, 1),
-    "missing linear-layer input XOR": (_missing_linear_xor, 1),
-    "missing 0*||K initialization XOR": (_missing_init_key_xor, 1),
-    "extra permutation on last data block": (_extra_last_block_permutation, 1),
-    "missing permutation after final AD block": (_missing_final_ad_permutation, 2),
-    "missing domain separator": (_missing_domain_separator, 1),
+    "wrong round constants": (
+        _edit(permutation, "permute", ("s.s2 ^ ROUND_CONSTANTS[index]", "s.s2 ^ (index + 1)")),
+        1,
+    ),
+    "left instead of right rotation": (
+        _edit(permutation, "rotr64",
+              ("((x >> r) | (x << (64 - r)))", "((x << r) | (x >> (64 - r)))")),
+        1,
+    ),
+    "missing linear-layer input XOR": (
+        _edit(permutation, "linear_layer", *((f"s{i} ^ rotr64(", "rotr64(") for i in range(5))),
+        1,
+    ),
+    "missing 0*||K initialization XOR": (
+        _edit(aead, "initialize",
+              ("return state._replace(s3=state.s3 ^ k1, s4=state.s4 ^ k2)", "return state")),
+        1,
+    ),
+    "extra permutation on last data block": (
+        _edit(aead, "encrypt_data",
+              ("return _with_rate(state, value, rate),",
+               "return permute(_with_rate(state, value, rate), rounds),")),
+        1,
+    ),
+    "missing permutation after final AD block": (
+        _edit(aead, "process_associated_data",
+              ("            state = permute(state, rounds)",
+               "            if off + rate < len(padded):  # bug: between blocks only\n"
+               "                state = permute(state, rounds)")),
+        2,
+    ),
+    "missing domain separator": (
+        _edit(aead, "process_associated_data",
+              ("return state._replace(s4=state.s4 ^ 1)", "return state")),
+        1,
+    ),
 }
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from ascon_aead import aead, cli
 from ascon_aead.codec import hex_decode
+from ascon_aead.permutation import ROUND_CONSTANTS, State, linear_layer, substitution_layer
 
 from conftest import kat_path, variant_like
 
@@ -14,6 +15,25 @@ KAT1_TAG = "E355159F292911F794CB1432A0103A8A"
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def trace_line(label, state):
+    return f"{label:<22}: " + " ".join(f"{w:016X}" for w in state)
+
+
+def expected_trace(state, rounds, verbose):
+    """The lines `trace` must print, rebuilt from the spec-level layers, and the end state."""
+    lines = [trace_line("initial", state)]
+    for index in range(12 - rounds, 12):
+        state = state._replace(s2=state.s2 ^ ROUND_CONSTANTS[index])
+        if verbose:
+            lines.append(trace_line(f"round {index:2} post-constant", state))
+        state = substitution_layer(state)
+        if verbose:
+            lines.append(trace_line(f"round {index:2} post-sbox", state))
+        state = linear_layer(state)
+        lines.append(trace_line(f"round {index:2} post-linear", state))
+    return lines, state
 
 
 class TestEncrypt:
@@ -78,16 +98,17 @@ class TestEncrypt:
 
     def test_failed_write_keeps_the_earlier_file(self, tmp_path, capsys, monkeypatch):
         import errno
-        from pathlib import Path
+        import io
 
-        def write_half_then_fail(self, data):
-            with open(self, "wb") as f:
-                f.write(data[: len(data) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device")
+        class WriteHalfThenFail(io.FileIO):
+            def write(self, data):
+                super().write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
 
         out = tmp_path / "ct.bin"
         out.write_bytes(b"earlier contents")
-        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        # the CLI opens its temporary output file with the builtin open()
+        monkeypatch.setattr(cli, "open", WriteHalfThenFail, raising=False)
         rc = run_cli("encrypt", "--key", KEY_HEX, "--nonce", NONCE_HEX,
                      "--pt", "00" * 64, "--out", str(out))
         assert rc == 3
@@ -288,6 +309,28 @@ class TestTrace:
             "post-initialization   : BC830FBEF3A1651B 487A66865036B909"
             " A031B0C5810C1CD6 DD7CE72083702217 9B17156EDE557CE7"
         )
+
+    @pytest.mark.parametrize("rounds", [6, 8, 12])
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_every_line_follows_the_spec_layers(self, capsys, rounds, verbose):
+        start = State(0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x0011223344556677,
+                      0xDEADBEEFCAFEBABE, 0x8899AABBCCDDEEFF)
+        flags = ["-v"] if verbose else []
+        rc = run_cli("trace", "--state", start.to_bytes().hex(), "--rounds", str(rounds), *flags)
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == expected_trace(start, rounds, verbose)[0]
+
+    def test_every_key_nonce_line_follows_the_spec_layers(self, capsys):
+        k1, k2, n1, n2 = (int(text[i : i + 16], 16)
+                          for text in (KEY_HEX, NONCE_HEX) for i in (0, 16))
+        start = State(aead.VARIANTS["ascon128a"].iv_word, k1, k2, n1, n2)
+        rc = run_cli("trace", "--variant", "ascon128a", "--key", KEY_HEX, "--nonce", NONCE_HEX,
+                     "--unsafe-trace", "-v")
+        assert rc == 0
+        lines, final = expected_trace(start, 12, verbose=True)
+        lines.append(trace_line("post-initialization",
+                                final._replace(s3=final.s3 ^ k1, s4=final.s4 ^ k2)))
+        assert capsys.readouterr().out.splitlines() == lines
 
     def test_state_and_key_are_exclusive(self, capsys):
         rc = run_cli("trace", "--state", "0" * 80, "--key", KEY_HEX,

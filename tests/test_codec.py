@@ -4,17 +4,14 @@ from hypothesis import strategies as st
 
 from ascon_aead.codec import (
     HexError,
-    bytes_from_word,
     hex_decode,
     hex_encode,
     pad_10star,
-    word_from_bytes,
     xor_bytes,
 )
 
 from oracles import unpad_10star
 
-word = st.integers(min_value=0, max_value=2**64 - 1)
 HEX_DIGITS = "0123456789abcdefABCDEF"
 # hex text of either case, including mixed, as the KAT files and the CLI take it
 canonical_hex = st.text(HEX_DIGITS, max_size=80).map(lambda t: t[: len(t) - len(t) % 2])
@@ -22,33 +19,6 @@ canonical_hex = st.text(HEX_DIGITS, max_size=80).map(lambda t: t[: len(t) - len(
 not_hex = st.one_of(
     st.sampled_from(" \t\n\r\x0b\x0c"), st.characters().filter(lambda c: c not in HEX_DIGITS)
 )
-
-
-class TestWordConversion:
-    def test_unit_value(self):
-        assert word_from_bytes(bytes(7) + b"\x01") == 0x0000000000000001
-
-    def test_top_bit(self):
-        assert word_from_bytes(b"\x80" + bytes(7)) == 0x8000000000000000
-
-    def test_positional_read_off(self):
-        assert bytes_from_word(0x0123456789ABCDEF) == bytes.fromhex("0123456789ABCDEF")
-
-    def test_zero(self):
-        assert bytes_from_word(0) == bytes(8)
-
-    @pytest.mark.parametrize("size", [0, 7, 9])
-    def test_word_from_bytes_rejects_wrong_length(self, size):
-        with pytest.raises(ValueError):
-            word_from_bytes(bytes(size))
-
-    @given(word)
-    def test_round_trip_from_word(self, w):
-        assert word_from_bytes(bytes_from_word(w)) == w
-
-    @given(st.binary(min_size=8, max_size=8))
-    def test_round_trip_from_bytes(self, b):
-        assert bytes_from_word(word_from_bytes(b)) == b
 
 
 class TestPad10Star:

@@ -1,9 +1,9 @@
-"""Which modules the library path loads: a guard on start-up cost.
+"""Which modules the library path and the CLI load: a guard on start-up cost.
 
-The child runs under `python -S`, so no site hook preloads anything, and it
+Each child runs under `python -S`, so no site hook preloads anything, and it
 reports which of the modules the package is meant to do without are in
-sys.modules after an import and one round trip.  It checks what loads, not
-how long it takes.
+sys.modules after an import (and, for the library, one round trip).  It
+checks what loads, not how long it takes.
 """
 
 import os
@@ -27,13 +27,25 @@ print(" ".join(name for name in {AVOIDED!r} if name in sys.modules))
 """
 
 
-def test_library_path_loads_no_dataclasses_typing_or_pathlib():
+def run_child(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", CHILD],
+        [sys.executable, "-S", "-c", code],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    backend, loaded = proc.stdout.split("\n")[:2]
+    return proc.stdout
+
+
+def test_library_path_loads_no_dataclasses_typing_or_pathlib():
+    backend, loaded = run_child(CHILD).split("\n")[:2]
     assert backend in ("kernel", "pure")
     assert loaded == "", f"loaded on the {backend} path: {loaded}"
+
+
+def test_cli_import_loads_no_pathlib_or_tempfile():
+    loaded = run_child(
+        "import sys, ascon_aead.cli; "
+        "print(' '.join(m for m in ('pathlib', 'tempfile') if m in sys.modules))"
+    ).strip()
+    assert loaded == "", f"loaded by the CLI import: {loaded}"

@@ -12,7 +12,6 @@ from ascon_aead.permutation import (
     linear_layer,
     permute,
     rotr64,
-    round_constant,
     substitution_layer,
 )
 
@@ -65,16 +64,10 @@ class TestRoundConstant:
 
     @pytest.mark.parametrize("index,expected", [(0, 0xF0), (6, 0x96), (11, 0x4B)])
     def test_known_values(self, index, expected):
-        assert round_constant(index) == expected
+        assert ROUND_CONSTANTS[index] == expected
 
     def test_closed_form(self):
-        for i in range(12):
-            assert round_constant(i) == ((0xF - i) << 4) | i
-
-    @pytest.mark.parametrize("index", [-1, 12])
-    def test_rejects_out_of_range(self, index):
-        with pytest.raises(ValueError):
-            round_constant(index)
+        assert ROUND_CONSTANTS == tuple(((0xF - i) << 4) | i for i in range(12))
 
 
 class TestSubstitutionLayer:
@@ -145,9 +138,31 @@ class TestPermute:
         for rounds in (6, 8, 12):
             expected = state
             for index in range(12 - rounds, 12):
-                expected = expected._replace(s2=expected.s2 ^ round_constant(index))
+                expected = expected._replace(s2=expected.s2 ^ ROUND_CONSTANTS[index])
                 expected = linear_layer(substitution_layer(expected))
             assert permute(state, rounds) == expected
+
+    @given(states, st.sampled_from((6, 8, 12)))
+    @settings(max_examples=40)
+    def test_composes_the_spec_layers_and_shows_each_step(self, state, rounds):
+        calls = []
+        result = permute(state, rounds, lambda *call: calls.append(call))
+        assert result == permute(state, rounds)
+        steps = ("post-constant", "post-sbox", "post-linear")
+        assert [call[:2] for call in calls] == [
+            (index, step) for index in range(12 - rounds, 12) for step in steps
+        ]
+        expected = state
+        for index, step, seen in calls:
+            if step == "post-constant":
+                expected = expected._replace(s2=expected.s2 ^ ROUND_CONSTANTS[index])
+            elif step == "post-sbox":
+                expected = substitution_layer(expected)
+            else:
+                expected = linear_layer(expected)
+            assert seen == expected, (index, step)
+        # the calls come in schedule order, so this is the layers' composition
+        assert expected == result
 
     def test_six_plus_six_differs_from_twelve(self):
         # both 6-round runs use constants 6..11, so the schedules differ
