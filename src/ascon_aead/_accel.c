@@ -137,28 +137,25 @@ static void duplex_tail(uint64_t s[5], const unsigned char *in, unsigned char *o
  * and `nonce` are 16 bytes each.  The 16-byte tag computed over the message
  * goes to `tag`; a decrypting caller compares it with the one it received.
  *
- * `params` is the 11-byte block of public parameters that aead.py packs
- * once per VariantParams:
- *
- *     bytes 0-7   the IV word, big-endian
- *     byte 8      the rate in bytes: 8 or 16
- *     byte 9      rounds_a: 6, 8 or 12
- *     byte 10     rounds_b: 6, 8 or 12
- *
- * The caller checks these values and the key and nonce lengths; any other
- * rate makes duplex_tail write past its block.
+ * `params` is the variant's 8-byte IV, which aead.py derives once per
+ * VariantParams.  As the specification lays it out, it encodes k, r, a and
+ * b: the key size in bits (128), the rate in bits (64 or 128), the rounds
+ * of initialization and finalization (12) and of the data phase (6, 8 or
+ * 12), then four zero bytes.  The kernel reads r and b from it and runs
+ * 12 rounds for a.  The caller checks r, b and the key and nonce lengths;
+ * any other rate makes duplex_tail write past its block.
  */
 static void ascon_aead(unsigned mode, const unsigned char *params, const unsigned char *key,
                        const unsigned char *nonce, const unsigned char *ad, size_t adlen,
                        const unsigned char *in, size_t len, unsigned char *out,
                        unsigned char *tag)
 {
-    const unsigned rate = params[8], rounds_a = params[9], rounds_b = params[10];
+    const unsigned rate = params[1] / 8u, rounds_b = params[3];
     const uint64_t k1 = load64(key), k2 = load64(key + 8);
     const size_t ad_split = adlen - adlen % rate, split = len - len % rate;
     uint64_t s[5] = {load64(params), k1, k2, load64(nonce), load64(nonce + 8)};
 
-    permute(s, rounds_a);
+    permute(s, 12);
     s[3] ^= k1;
     s[4] ^= k2;
 
@@ -174,7 +171,7 @@ static void ascon_aead(unsigned mode, const unsigned char *params, const unsigne
 
     s[rate / 8] ^= k1;
     s[rate / 8 + 1] ^= k2;
-    permute(s, rounds_a);
+    permute(s, 12);
     store64(tag, s[3] ^ k1);
     store64(tag + 8, s[4] ^ k2);
 }

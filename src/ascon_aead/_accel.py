@@ -11,9 +11,10 @@ Like the reference path it never branches on or indexes by secret values.
 `_accel.c` is plain C.  `_kernelmodule.c` is its CPython binding, the
 module `ascon_aead._kernel`: a METH_FASTCALL function per direction that
 checks its arguments, writes the output and the tag straight into two new
-`bytes` objects, and releases the GIL while the kernel runs.  The public
-parameters travel as the block that VariantParams packs once
-(`_kernel_params`, laid out in `_accel.c`).
+`bytes` objects, and releases the GIL while the kernel runs.  Its only
+parameter is the variant's 8-byte IV, which VariantParams derives once
+(`_kernel_params`); the kernel reads the rate and the data-phase rounds
+from it, as laid out in `_accel.c`.
 
 Only the standard library, the CPython headers and the system C compiler
 (`cc`) are needed.  On first use the two files are compiled into a cache

@@ -7,8 +7,8 @@
  * tag; aead.decrypt compares the returned one with the one it received.
  *
  * Every argument must be exactly `bytes`, the key and the nonce 16 bytes,
- * and `params` the 11-byte block laid out in _accel.c with a rate and round
- * counts the kernel accepts; anything else raises TypeError or ValueError,
+ * and `params` the 8-byte IV laid out in _accel.c, with a rate and data
+ * rounds the kernel accepts; anything else raises TypeError or ValueError,
  * so no call can make the kernel read or write out of bounds.  The checks
  * branch on types and lengths only, which are public, and the errors name
  * no input bytes.  The GIL is released while the kernel runs, so calls from
@@ -17,7 +17,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-enum { PARAMS_BYTES = 11, KEY_BYTES = 16, NONCE_BYTES = 16, TAG_BYTES = 16, ARGS = 5 };
+enum { PARAMS_BYTES = 8, KEY_BYTES = 16, NONCE_BYTES = 16, TAG_BYTES = 16, ARGS = 5 };
 
 typedef void kernel_fn(const unsigned char *params, const unsigned char *key,
                        const unsigned char *nonce, const unsigned char *ad, size_t adlen,
@@ -25,11 +25,6 @@ typedef void kernel_fn(const unsigned char *params, const unsigned char *key,
                        unsigned char *tag);
 
 kernel_fn ascon_encrypt, ascon_decrypt;
-
-static int valid_rounds(unsigned char rounds)
-{
-    return rounds == 6 || rounds == 8 || rounds == 12;
-}
 
 /* 1 when the five arguments are ones the kernel accepts; 0 with an exception set if not. */
 static int check_args(PyObject *const *args, Py_ssize_t nargs)
@@ -55,10 +50,10 @@ static int check_args(PyObject *const *args, Py_ssize_t nargs)
         }
     }
     params = (const unsigned char *)PyBytes_AS_STRING(args[0]);
-    if ((params[8] != 8 && params[8] != 16) || !valid_rounds(params[9]) ||
-        !valid_rounds(params[10])) {
+    if ((params[1] != 64 && params[1] != 128) ||
+        (params[3] != 6 && params[3] != 8 && params[3] != 12)) {
         PyErr_SetString(PyExc_ValueError,
-                        "params must hold rate 8 or 16 and round counts of 6, 8 or 12");
+                        "params must be an IV with rate 64 or 128 bits and rounds_b 6, 8 or 12");
         return 0;
     }
     return 1;

@@ -1,6 +1,7 @@
 """Authenticated encryption with associated data over the core permutation.
 
-Both parameter sets drive the same four-phase duplex flow:
+Both parameter sets, which differ only in their rate and their data-phase
+rounds, drive the same four-phase duplex flow:
 
     initialize -> process_associated_data -> encrypt_data/decrypt_data -> finalize
 
@@ -11,7 +12,8 @@ one big-endian integer (s0, or s0 || s1), move blocks in and out of it
 with int.from_bytes/int.to_bytes, and run every permutation through
 `permute` below.  When the optional compiled kernel (`_accel`) loads,
 `encrypt` and `decrypt` run each message through it in one call, a
-compiled copy of these phases; otherwise they compose the phases here.
+compiled copy of these phases that takes the variant's IV as its only
+parameter; otherwise they compose the phases here.
 `backend_info` says which of the two runs.
 
 Both check every argument.  Inputs that are already `bytes` with a key and
@@ -39,6 +41,7 @@ from .permutation import MASK64, VALID_ROUNDS, State
 KEY_BYTES = 16
 NONCE_BYTES = 16
 TAG_BYTES = 16
+ROUNDS_A = 12  # initialization and finalization rounds, in every variant
 
 _accel_backend = None  # not probed yet; becomes the kernel module or False
 
@@ -54,43 +57,29 @@ class AuthenticationFailure(Exception):
 class VariantParams:
     """One row of the cipher's parameter table: an immutable value.
 
-    The constructor rejects parameters the cipher does not use, and copies
-    and pickles are rebuilt through it, so no instance escapes the checks.
-    Equality, hashing and repr go by the eight fields in `_fields`.
+    A variant is its rate and its data-phase rounds b.  The key, nonce and
+    tag are 16 bytes and a = 12 (`ROUNDS_A`, also readable as `rounds_a`)
+    in every variant, and `iv_word` is derived from all four as the
+    specification lays it out: k || r || a || b || 0*.  The constructor
+    rejects values the cipher does not use, and copies and pickles are
+    rebuilt through it.  Equality, hashing and repr go by `_fields`.
     """
 
-    _fields = ("name", "rate_bytes", "rounds_a", "rounds_b", "iv_word",
-               "key_bytes", "nonce_bytes", "tag_bytes")
-    __slots__ = _fields + ("_kernel_params",)
+    _fields = ("name", "rate_bytes", "rounds_b")
+    __slots__ = _fields + ("iv_word", "_kernel_params")
+    rounds_a = ROUNDS_A
 
-    def __init__(
-        self,
-        name: str,
-        rate_bytes: int,  # data block size: 8 or 16
-        rounds_a: int,  # initialization/finalization rounds
-        rounds_b: int,  # data-phase rounds
-        iv_word: int,  # parameter-encoding first state word
-        key_bytes: int = KEY_BYTES,
-        nonce_bytes: int = NONCE_BYTES,
-        tag_bytes: int = TAG_BYTES,
-    ) -> None:
+    def __init__(self, name: str, rate_bytes: int, rounds_b: int) -> None:
         if hasattr(self, "_kernel_params"):  # __init__ called again on a built one
             raise AttributeError("cannot re-initialize an immutable VariantParams")
         # The compiled kernel relies on these; reject anything else up front.
         if rate_bytes not in (8, 16):
             raise ValueError(f"rate must be 8 or 16 bytes, got {rate_bytes}")
-        if rounds_a not in VALID_ROUNDS or rounds_b not in VALID_ROUNDS:
-            raise ValueError(f"round counts must be in {VALID_ROUNDS}")
-        if (key_bytes, nonce_bytes, tag_bytes) != (KEY_BYTES, NONCE_BYTES, TAG_BYTES):
-            raise ValueError("key, nonce and tag must be 16 bytes each")
-        if not 0 <= iv_word < 1 << 64:
-            raise ValueError("iv_word must be a 64-bit unsigned integer")
-        # The public parameters as the kernel reads them, laid out in
-        # _accel.c: IV (8 bytes, big-endian), rate, rounds_a, rounds_b.
-        # Not a field; it is packed only here, so it always matches them.
-        packed = iv_word.to_bytes(8, "big") + bytes((rate_bytes, rounds_a, rounds_b))
-        values = (name, rate_bytes, rounds_a, rounds_b, iv_word,
-                  key_bytes, nonce_bytes, tag_bytes, packed)
+        if rounds_b not in VALID_ROUNDS:
+            raise ValueError(f"rounds_b must be in {VALID_ROUNDS}, got {rounds_b}")
+        # The IV in bits and rounds; it is also the kernel's whole parameter block.
+        iv = bytes((8 * KEY_BYTES, 8 * rate_bytes, ROUNDS_A, rounds_b, 0, 0, 0, 0))
+        values = (name, rate_bytes, rounds_b, int.from_bytes(iv, "big"), iv)
         for slot, value in zip(self.__slots__, values):
             object.__setattr__(self, slot, value)
 
@@ -120,22 +109,16 @@ class VariantParams:
         return type(self), self._astuple()
 
 
-ASCON_128 = VariantParams(
-    "ASCON-128", rate_bytes=8, rounds_a=12, rounds_b=6, iv_word=0x80400C0600000000
-)
-ASCON_128A = VariantParams(
-    "ASCON-128a", rate_bytes=16, rounds_a=12, rounds_b=8, iv_word=0x80800C0800000000
-)
+ASCON_128 = VariantParams("ASCON-128", rate_bytes=8, rounds_b=6)
+ASCON_128A = VariantParams("ASCON-128a", rate_bytes=16, rounds_b=8)
 
 #: CLI-facing variant names.
 VARIANTS = {"ascon128": ASCON_128, "ascon128a": ASCON_128A}
 
 
-def _check_key_nonce(params: VariantParams, key: bytes, nonce: bytes) -> None:
-    if len(key) != params.key_bytes:
-        raise ValueError(f"key must be {params.key_bytes} bytes, got {len(key)}")
-    if len(nonce) != params.nonce_bytes:
-        raise ValueError(f"nonce must be {params.nonce_bytes} bytes, got {len(nonce)}")
+def _check_length(name: str, value: bytes, size: int) -> None:
+    if len(value) != size:
+        raise ValueError(f"{name} must be {size} bytes, got {len(value)}")
 
 
 def _as_bytes(name: str, value) -> bytes:
@@ -204,9 +187,10 @@ def _with_rate(state: State, value: int, rate: int) -> State:
 
 def initialize(params: VariantParams, key: bytes, nonce: bytes) -> State:
     """Pack IV || K || N, run the a-round permutation, then XOR 0* || K in."""
-    _check_key_nonce(params, key, nonce)
+    _check_length("key", key, KEY_BYTES)
+    _check_length("nonce", nonce, NONCE_BYTES)
     state = State.from_bytes(params.iv_word.to_bytes(8, "big") + key + nonce)
-    state = permute(state, params.rounds_a)
+    state = permute(state, ROUNDS_A)
     k1, k2 = int.from_bytes(key[:8], "big"), int.from_bytes(key[8:], "big")
     return state._replace(s3=state.s3 ^ k1, s4=state.s4 ^ k2)
 
@@ -283,14 +267,13 @@ def finalize(state: State, params: VariantParams, key: bytes) -> bytes:
     The tag is the last two state words XORed with the key, emitted
     big-endian.
     """
-    if len(key) != params.key_bytes:
-        raise ValueError(f"key must be {params.key_bytes} bytes, got {len(key)}")
+    _check_length("key", key, KEY_BYTES)
     k1, k2 = int.from_bytes(key[:8], "big"), int.from_bytes(key[8:], "big")
     words = list(state)
     w = params.rate_bytes // 8
     words[w] ^= k1
     words[w + 1] ^= k2
-    state = permute(State(*words), params.rounds_a)
+    state = permute(State(*words), ROUNDS_A)
     return (state.s3 ^ k1).to_bytes(8, "big") + (state.s4 ^ k2).to_bytes(8, "big")
 
 
@@ -313,13 +296,14 @@ def encrypt(
     """
     if not (
         type(key) is type(nonce) is type(associated_data) is type(plaintext) is bytes
-        and len(key) == params.key_bytes
-        and len(nonce) == params.nonce_bytes
+        and len(key) == KEY_BYTES
+        and len(nonce) == NONCE_BYTES
     ):
         key, nonce = _as_bytes("key", key), _as_bytes("nonce", nonce)
         associated_data = _as_bytes("associated_data", associated_data)
         plaintext = _as_bytes("plaintext", plaintext)
-        _check_key_nonce(params, key, nonce)
+        _check_length("key", key, KEY_BYTES)
+        _check_length("nonce", nonce, NONCE_BYTES)
     accel = _get_accel()
     if accel is not None:
         return accel.encrypt(params._kernel_params, key, nonce, associated_data, plaintext)
@@ -347,16 +331,16 @@ def decrypt(
     if not (
         type(key) is type(nonce) is type(associated_data) is type(ciphertext) is type(tag)
         is bytes
-        and len(key) == params.key_bytes
-        and len(nonce) == params.nonce_bytes
-        and len(tag) == params.tag_bytes
+        and len(key) == KEY_BYTES
+        and len(nonce) == NONCE_BYTES
+        and len(tag) == TAG_BYTES
     ):
         key, nonce = _as_bytes("key", key), _as_bytes("nonce", nonce)
         associated_data = _as_bytes("associated_data", associated_data)
         ciphertext, tag = _as_bytes("ciphertext", ciphertext), _as_bytes("tag", tag)
-        _check_key_nonce(params, key, nonce)
-        if len(tag) != params.tag_bytes:
-            raise ValueError(f"tag must be {params.tag_bytes} bytes, got {len(tag)}")
+        _check_length("key", key, KEY_BYTES)
+        _check_length("nonce", nonce, NONCE_BYTES)
+        _check_length("tag", tag, TAG_BYTES)
     accel = _get_accel()
     if accel is not None:
         plaintext, expected = accel.decrypt(

@@ -62,9 +62,7 @@ def _add_variant(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_verbose(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "-v", "--verbose", action="count", default=0, help="diagnostics on stderr"
-    )
+    parser.add_argument("-v", "--verbose", action="store_true", help="diagnostics on stderr")
 
 
 def _add_key_nonce_ad(parser: argparse.ArgumentParser, gen_nonce: bool) -> None:

@@ -40,11 +40,11 @@ class KatRecord(namedtuple("KatRecord", "count key nonce pt ad ct_and_tag")):
 
     @property
     def ciphertext(self) -> bytes:
-        return self.ct_and_tag[:-16]
+        return self.ct_and_tag[: -aead.TAG_BYTES]
 
     @property
     def tag(self) -> bytes:
-        return self.ct_and_tag[-16:]
+        return self.ct_and_tag[-aead.TAG_BYTES :]
 
 
 class KatFailure(namedtuple("KatFailure", "count direction field")):
@@ -90,13 +90,13 @@ def _finish_record(
     record = KatRecord(
         count, fields["Key"], fields["Nonce"], fields["PT"], fields["AD"], fields["CT"]
     )
-    if len(record.key) != 16:
-        raise KatParseError(f"record {count}: key must be 16 bytes", line_number)
-    if len(record.nonce) != 16:
-        raise KatParseError(f"record {count}: nonce must be 16 bytes", line_number)
-    if len(record.ct_and_tag) != len(record.pt) + 16:
+    if len(record.key) != aead.KEY_BYTES:
+        raise KatParseError(f"record {count}: key must be {aead.KEY_BYTES} bytes", line_number)
+    if len(record.nonce) != aead.NONCE_BYTES:
+        raise KatParseError(f"record {count}: nonce must be {aead.NONCE_BYTES} bytes", line_number)
+    if len(record.ct_and_tag) != len(record.pt) + aead.TAG_BYTES:
         raise KatParseError(
-            f"record {count}: CT must be {len(record.pt) + 16} bytes"
+            f"record {count}: CT must be {len(record.pt) + aead.TAG_BYTES} bytes"
             f" (PT plus tag), got {len(record.ct_and_tag)}",
             line_number,
         )

@@ -3,10 +3,12 @@ PASS line with its measured numbers.  Run with `pytest -s tests/test_acceptance.
 to watch the lines scroll by; `pytest` alone still enforces everything.
 """
 
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from mutants import BUG_MUTANTS
 from oracles import REFERENCE_SBOX, sbox_slicewise
 
 PARAMS = {"ascon128": ASCON_128, "ascon128a": ASCON_128A}
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _ok(name: str, detail: str) -> None:
@@ -156,7 +159,7 @@ def test_7_cli_contract(tmp_path):
     def cli(*argv, **kwargs):
         return subprocess.run(
             [sys.executable, "-m", "ascon_aead.cli", *argv],
-            capture_output=True, text=True, **kwargs,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), **kwargs,
         )
 
     key = "000102030405060708090A0B0C0D0E0F"

@@ -53,6 +53,9 @@ KAT1_TAGS = {
     "ASCON-128a": bytes.fromhex("7A834E6F09210957067B10FD831F0078"),
 }
 
+#: (rate_bytes, rounds_b) of every variant the constructor accepts
+PAIRS = [(rate, rounds_b) for rate in (8, 16) for rounds_b in (6, 8, 12)]
+
 keys = st.binary(min_size=16, max_size=16)
 small = st.binary(max_size=96)
 
@@ -61,8 +64,7 @@ class TestVariantParams:
     def test_parameter_table(self):
         assert (ASCON_128.rate_bytes, ASCON_128.rounds_a, ASCON_128.rounds_b) == (8, 12, 6)
         assert (ASCON_128A.rate_bytes, ASCON_128A.rounds_a, ASCON_128A.rounds_b) == (16, 12, 8)
-        for params in (ASCON_128, ASCON_128A):
-            assert params.key_bytes == params.nonce_bytes == params.tag_bytes == 16
+        assert aead.KEY_BYTES == aead.NONCE_BYTES == aead.TAG_BYTES == 16
 
     def test_iv_words_pinned(self):
         assert ASCON_128.iv_word == 0x80400C0600000000
@@ -70,24 +72,26 @@ class TestVariantParams:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("rate_bytes", 32), ("rounds_a", 13), ("rounds_b", 4), ("key_bytes", 8),
-         ("iv_word", 1 << 64), ("iv_word", -1)],
+        [("rate_bytes", 32), ("rate_bytes", 0), ("rounds_b", 4), ("rounds_b", 13),
+         # a = 12, the 16-byte sizes and the derived IV are not parameters
+         ("rounds_a", 13), ("key_bytes", 8), ("iv_word", 1 << 64), ("iv_word", -1)],
     )
     def test_rejects_parameters_the_cipher_does_not_use(self, field, value):
-        with pytest.raises(ValueError):
+        error = ValueError if field in aead.VariantParams._fields else TypeError
+        with pytest.raises(error):
             variant_like(ASCON_128, **{field: value})
 
     def test_is_immutable(self):
         with pytest.raises(AttributeError):
             ASCON_128.rounds_b = 8
         with pytest.raises(AttributeError):
-            ASCON_128._kernel_params = bytes(11)
+            ASCON_128._kernel_params = bytes(8)
         with pytest.raises(AttributeError):
             del ASCON_128.iv_word
         with pytest.raises(AttributeError):
             ASCON_128.extra = 1  # no per-instance attributes
         with pytest.raises(AttributeError):
-            ASCON_128.__init__("ASCON-128", 16, 12, 8, 0)
+            ASCON_128.__init__("ASCON-128", 16, 8)
         assert (ASCON_128.rate_bytes, ASCON_128.rounds_b, ASCON_128.iv_word) == (
             8, 6, 0x80400C0600000000
         )
@@ -101,10 +105,7 @@ class TestVariantParams:
         assert variant_like(ASCON_128, name="other") != ASCON_128
         assert ASCON_128 != ASCON_128A
         assert len({ASCON_128, twin, ASCON_128A}) == 2
-        assert repr(ASCON_128) == (
-            "VariantParams(name='ASCON-128', rate_bytes=8, rounds_a=12, rounds_b=6,"
-            f" iv_word={0x80400C0600000000}, key_bytes=16, nonce_bytes=16, tag_bytes=16)"
-        )
+        assert repr(ASCON_128) == "VariantParams(name='ASCON-128', rate_bytes=8, rounds_b=6)"
 
     @BOTH
     @pytest.mark.parametrize(
@@ -127,30 +128,25 @@ class TestVariantParams:
             pickle.loads(blob.replace(b"I8\n", b"I32\n"))
 
     @pytest.mark.parametrize(
-        "base, changes",
-        [
-            (ASCON_128, {"iv_word": 0x0123456789ABCDEF}),
-            (ASCON_128, {"rounds_a": 6}),
-            (ASCON_128, {"rounds_a": 8}),
-            (ASCON_128, {"rounds_b": 12}),
-            (ASCON_128A, {"rounds_b": 12}),
-        ],
-        ids=["iv_word", "rounds_a-6", "rounds_a-8", "rounds_b-12-rate-8", "rounds_b-12-rate-16"],
+        "rate, rounds_b", PAIRS, ids=[f"rounds_b-{b}-rate-{rate}" for rate, b in PAIRS]
     )
-    def test_every_parameter_field_reaches_the_backend(self, backend, base, changes):
-        # The same name with other values: a parameter block cached per class
-        # or per variant name would give the base variant's output.
-        params = variant_like(base, **changes)
-        r = params.rate_bytes
-        # every pair of lengths runs p^b at least once, so rounds_b shows too
-        for ad_len, pt_len in [(0, r), (r - 1, r - 1), (r, r + 1), (2 * r + 1, 3 * r - 1)]:
-            ad, pt = bytes(range(ad_len)), bytes(range(100, 100 + pt_len))
-            ct, tag = encrypt(params, KEY, NONCE, ad, pt)
-            assert (ct, tag) != encrypt(base, KEY, NONCE, ad, pt)
-            assert decrypt(params, KEY, NONCE, ad, ct, tag) == pt
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(aead, "_accel_backend", False)
-                assert encrypt(params, KEY, NONCE, ad, pt) == (ct, tag)
+    def test_every_parameter_field_reaches_the_backend(self, backend, rate, rounds_b):
+        # The kernel decodes the rate and rounds_b from the IV alone.  All
+        # six variants share one name, so a parameter block cached per name
+        # or per class would give another pair's output.
+        params = aead.VariantParams("same", rate, rounds_b)
+        others = [aead.VariantParams("same", *pair) for pair in PAIRS if pair != (rate, rounds_b)]
+        lengths = (0, rate - 1, rate, rate + 1, 2 * rate + 1)
+        for ad_len in lengths:
+            for pt_len in lengths:
+                ad, pt = bytes(range(ad_len)), bytes(range(100, 100 + pt_len))
+                ct, tag = encrypt(params, KEY, NONCE, ad, pt)
+                assert decrypt(params, KEY, NONCE, ad, ct, tag) == pt
+                for other in others:
+                    assert encrypt(other, KEY, NONCE, ad, pt) != (ct, tag)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(aead, "_accel_backend", False)
+                    assert encrypt(params, KEY, NONCE, ad, pt) == (ct, tag)
 
 
 class TestInitialize:
@@ -418,26 +414,40 @@ class TestInputContract:
                 encrypt(ASCON_128, inputs["key"], inputs["nonce"], b"", b"")
 
 
-_IV_WORD = ASCON_128._kernel_params[:8]
+_IV = ASCON_128._kernel_params  # the kernel's whole parameter block
 
-#: case -> (argument position, value, error) for a direct call of the kernel module
+
+def _iv_with(index: int, value: int) -> bytes:
+    """ASCON-128's IV with one byte replaced."""
+    iv = bytearray(_IV)
+    iv[index] = value
+    return bytes(iv)
+
+
+#: case -> (argument position, value, error, the text that names its reason)
+#: for a direct call of the kernel module
 BAD_KERNEL_ARGS = {
-    "params-str": (0, "p" * 11, TypeError),
-    "key-str": (1, "k" * 16, TypeError),
-    "key-bytearray": (1, bytearray(16), TypeError),
-    "nonce-memoryview": (2, memoryview(bytes(16)), TypeError),
-    "ad-str": (3, "ad", TypeError),
-    "data-bytearray": (4, bytearray(b"data"), TypeError),
-    "params-10-bytes": (0, bytes(10), ValueError),
-    "params-12-bytes": (0, bytes(12), ValueError),
-    "key-15-bytes": (1, bytes(15), ValueError),
-    "key-17-bytes": (1, bytes(17), ValueError),
-    "nonce-15-bytes": (2, bytes(15), ValueError),
-    "nonce-empty": (2, b"", ValueError),
-    "rate-200": (0, _IV_WORD + bytes((200, 12, 6)), ValueError),
-    "rate-0": (0, _IV_WORD + bytes((0, 12, 6)), ValueError),
-    "rounds-a-13": (0, _IV_WORD + bytes((8, 13, 6)), ValueError),
-    "rounds-b-255": (0, _IV_WORD + bytes((16, 12, 255)), ValueError),
+    "params-str": (0, "p" * 8, TypeError, "params must be bytes"),
+    "key-str": (1, "k" * 16, TypeError, "key must be bytes"),
+    "key-bytearray": (1, bytearray(16), TypeError, "key must be bytes"),
+    "nonce-memoryview": (2, memoryview(bytes(16)), TypeError, "nonce must be bytes"),
+    "ad-str": (3, "ad", TypeError, "ad must be bytes"),
+    "data-bytearray": (4, bytearray(b"data"), TypeError, "data must be bytes"),
+    # a valid IV cut short or run on, so only the length is wrong
+    "params-7-bytes": (0, _IV[:7], ValueError, "params must be 8 bytes"),
+    "params-9-bytes": (0, _IV + bytes(1), ValueError, "params must be 8 bytes"),
+    "params-10-bytes": (0, _IV + bytes(2), ValueError, "params must be 8 bytes"),
+    "params-12-bytes": (0, _IV + bytes(4), ValueError, "params must be 8 bytes"),
+    "key-15-bytes": (1, bytes(15), ValueError, "key must be 16 bytes"),
+    "key-17-bytes": (1, bytes(17), ValueError, "key must be 16 bytes"),
+    "nonce-15-bytes": (2, bytes(15), ValueError, "nonce must be 16 bytes"),
+    "nonce-empty": (2, b"", ValueError, "nonce must be 16 bytes"),
+    # IV byte 1 is the rate in bits, byte 3 the data-phase rounds
+    "rate-0": (0, _iv_with(1, 0), ValueError, "rate 64 or 128 bits"),
+    "rate-8": (0, _iv_with(1, 8), ValueError, "rate 64 or 128 bits"),
+    "rate-200": (0, _iv_with(1, 200), ValueError, "rate 64 or 128 bits"),
+    "rounds-b-13": (0, _iv_with(3, 13), ValueError, "rounds_b 6, 8 or 12"),
+    "rounds-b-255": (0, _iv_with(3, 255), ValueError, "rounds_b 6, 8 or 12"),
 }
 
 
@@ -584,11 +594,11 @@ class TestAcceleratedPath:
     def test_kernel_module_checks_its_own_arguments(self, direction, case):
         # Called directly, past aead's checks, the module must refuse what
         # would make the kernel read or write outside its buffers.
-        position, value, error = BAD_KERNEL_ARGS[case]
+        position, value, error, reason = BAD_KERNEL_ARGS[case]
         kernel = aead._get_accel()
         args = [ASCON_128._kernel_params, KEY, NONCE, b"ad", bytes(40)]
         args[position] = value
-        with pytest.raises(error) as info:
+        with pytest.raises(error, match=reason) as info:
             getattr(kernel, direction)(*args)
         assert KEY.hex() not in str(info.value)
         with pytest.raises(TypeError):
@@ -677,6 +687,40 @@ def test_kernel_fallback_keeps_pure_path_and_reason(
         "backend": "pure", "library": None, "unavailable_reason": _accel.UNAVAILABLE_REASON
     }
     assert list(cache.iterdir()) == [], "a failed build must leave no file behind"
+
+
+@pytest.mark.parametrize("planted", ["world-writable", "symlink"])
+def test_private_temp_dir_refuses_a_directory_others_control(
+    planted, monkeypatch, tmp_path, fresh_loader
+):
+    # A library planted in the fallback cache would run in this process.  A
+    # directory owned by another user needs a second uid, so it is not tested.
+    import os
+    import tempfile
+
+    from ascon_aead import _accel
+
+    private = tmp_path / f"ascon-aead-{os.getuid()}"
+    if planted == "world-writable":
+        private.mkdir()
+        private.chmod(0o777)
+        target = private
+    else:
+        target = tmp_path / "elsewhere"
+        target.mkdir(mode=0o700)
+        private.symlink_to(target)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(OSError, match="not a private directory"):
+        _accel._private_temp_dir()
+    # with the package cache unwritable too, no cache directory is left
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_bytes(b"")
+    monkeypatch.setattr(_accel, "_CACHE_DIR", blocker / "__pycache__")
+    assert _accel.load() is None
+    reason = _accel.UNAVAILABLE_REASON
+    assert f"{private} is not a private directory" in reason
+    assert aead.backend_info() == {"backend": "pure", "library": None, "unavailable_reason": reason}
+    assert list(target.iterdir()) == []
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
