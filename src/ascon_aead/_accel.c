@@ -6,11 +6,11 @@
  * ascon_encrypt and ascon_decrypt; the direction is carried by which one is
  * called.  Both wrap ascon_aead, a compiled copy of the four phases in
  * aead.py, which stay the reference; the round function is the one in
- * permutation.py, on machine words, and ascon_duplex fuses it across whole
- * rate blocks.  Words are loaded and stored big-endian with byte shifts, so
- * the result does not depend on the host's byte order.  The only branches
- * are on loop counters and on the public lengths, mode and rate; nothing
- * branches on, or indexes memory by, key, state or data.
+ * permutation.py, on machine words, and duplex runs it between the rate
+ * blocks of one segment, AD or data.  Words are loaded and stored big-endian
+ * with byte shifts, so the result does not depend on the host's byte order.
+ * The only branches are on loop counters and on the public lengths, mode and
+ * rate; nothing branches on, or indexes memory by, key, state or data.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -78,17 +78,20 @@ static inline void permute(uint64_t s[5], unsigned rounds)
     s[4] = x4;
 }
 
-/* Absorb, encrypt or decrypt `blocks` whole blocks of `rate` bytes (8 or 16)
- * from `in`, running a `rounds`-round permutation after every block.
- * `s` holds the five state words and is updated in place.  Encrypt writes
- * the rate after absorbing each block to `out`; decrypt writes the rate
- * XOR the ciphertext block, then overwrites the rate with that block.
- * Absorb writes nothing, and `out` may be NULL.
+/* Absorb, encrypt or decrypt `len` bytes from `in` as blocks of `rate`
+ * bytes (8 or 16), padded with 10*: each whole block with a `rounds`-round
+ * permutation after it, then the last 0 <= n < rate bytes and the padding
+ * with none.  `s` holds the five state words and is updated in place.
+ * Encrypt writes the rate after absorbing each block to `out`; decrypt
+ * writes the rate XOR the ciphertext, then overwrites the rate with the
+ * ciphertext, in the last block only its first n bytes.  Absorb writes
+ * nothing, and `out` may be NULL.
  */
-static void ascon_duplex(uint64_t s[5], const unsigned char *in, unsigned char *out,
-                         size_t blocks, unsigned rate, unsigned rounds, unsigned mode)
+static void duplex(uint64_t s[5], const unsigned char *in, unsigned char *out, size_t len,
+                   unsigned rate, unsigned rounds, unsigned mode)
 {
-    const size_t words = rate / 8;
+    const size_t words = rate / 8, blocks = len / rate, last = blocks * rate, n = len - last;
+    unsigned char r[16];
     for (size_t b = 0; b < blocks; b++) {
         for (size_t j = 0; j < words; j++) {
             const size_t off = 8 * (b * words + j);
@@ -104,31 +107,20 @@ static void ascon_duplex(uint64_t s[5], const unsigned char *in, unsigned char *
         }
         permute(s, rounds);
     }
-}
-
-/* The final `n` bytes (0 <= n < rate) as one block padded with 10*:
- * absorbed, encrypted or decrypted as ascon_duplex does a whole block, but
- * with no permutation after it.  Decrypt overwrites only the first `n`
- * bytes of the rate and XORs the padding byte in after them.
- */
-static void duplex_tail(uint64_t s[5], const unsigned char *in, unsigned char *out,
-                        size_t n, unsigned rate, unsigned mode)
-{
-    unsigned char r[16];
-    for (unsigned j = 0; j < rate / 8; j++)
+    for (size_t j = 0; j < words; j++)
         store64(r + 8 * j, s[j]);
     for (size_t i = 0; i < n; i++) {
         if (mode == DECRYPT) {
-            out[i] = r[i] ^ in[i];
-            r[i] = in[i];
+            out[last + i] = r[i] ^ in[last + i];
+            r[i] = in[last + i];
         } else {
-            r[i] ^= in[i];
+            r[i] ^= in[last + i];
             if (mode == ENCRYPT)
-                out[i] = r[i];
+                out[last + i] = r[i];
         }
     }
     r[n] ^= 0x80;
-    for (unsigned j = 0; j < rate / 8; j++)
+    for (size_t j = 0; j < words; j++)
         s[j] = load64(r + 8 * j);
 }
 
@@ -143,7 +135,7 @@ static void duplex_tail(uint64_t s[5], const unsigned char *in, unsigned char *o
  * of initialization and finalization (12) and of the data phase (6, 8 or
  * 12), then four zero bytes.  The kernel reads r and b from it and runs
  * 12 rounds for a.  The caller checks r, b and the key and nonce lengths;
- * any other rate makes duplex_tail write past its block.
+ * any other rate makes duplex write past its last block.
  */
 static void ascon_aead(unsigned mode, const unsigned char *params, const unsigned char *key,
                        const unsigned char *nonce, const unsigned char *ad, size_t adlen,
@@ -152,7 +144,6 @@ static void ascon_aead(unsigned mode, const unsigned char *params, const unsigne
 {
     const unsigned rate = params[1] / 8u, rounds_b = params[3];
     const uint64_t k1 = load64(key), k2 = load64(key + 8);
-    const size_t ad_split = adlen - adlen % rate, split = len - len % rate;
     uint64_t s[5] = {load64(params), k1, k2, load64(nonce), load64(nonce + 8)};
 
     permute(s, 12);
@@ -160,14 +151,12 @@ static void ascon_aead(unsigned mode, const unsigned char *params, const unsigne
     s[4] ^= k2;
 
     if (adlen) {
-        ascon_duplex(s, ad, NULL, adlen / rate, rate, rounds_b, ABSORB);
-        duplex_tail(s, ad + ad_split, NULL, adlen - ad_split, rate, ABSORB);
+        duplex(s, ad, NULL, adlen, rate, rounds_b, ABSORB);
         permute(s, rounds_b);
     }
     s[4] ^= 1;
 
-    ascon_duplex(s, in, out, len / rate, rate, rounds_b, mode);
-    duplex_tail(s, in + split, out + split, len - split, rate, mode);
+    duplex(s, in, out, len, rate, rounds_b, mode);
 
     s[rate / 8] ^= k1;
     s[rate / 8 + 1] ^= k2;

@@ -152,17 +152,22 @@ def _decode_flag(flag: str, text: str, expect_len: int | None = None) -> bytes:
         data = hex_decode(text)
     except HexError as exc:
         raise UsageError(f"{flag}: {exc}") from None
-    if expect_len is not None and len(data) != expect_len:
+    return data if expect_len is None else _check_len(flag, data, expect_len)
+
+
+def _check_len(flag: str, data: bytes, expect_len: int) -> bytes:
+    if len(data) != expect_len:
         raise UsageError(f"{flag}: expected {expect_len} bytes, got {len(data)}")
     return data
 
 
-def _read_file(flag: str, path: str) -> bytes:
+def _read_file(flag: str | None, path: str) -> bytes:
     try:
         with open(path, "rb") as f:
             return f.read()
     except OSError as exc:
-        raise _IoFailure(f"{flag}: cannot read {path}: {exc.strerror}") from exc
+        where = f"{flag}: " if flag else ""
+        raise _IoFailure(f"{where}cannot read {path}: {exc.strerror}") from exc
 
 
 class _IoFailure(Exception):
@@ -174,24 +179,20 @@ def _resolve_key(args) -> bytes:
         return _decode_flag("--key", args.key, aead.KEY_BYTES)
     if args.key_file is not None:
         data = _read_file("--key-file", args.key_file)
-        if len(data) != aead.KEY_BYTES:
-            raise UsageError(
-                f"--key-file: expected {aead.KEY_BYTES} bytes, got {len(data)}"
-            )
-        return data
+        return _check_len("--key-file", data, aead.KEY_BYTES)
     raise UsageError("a key is required: pass --key or --key-file")
 
 
-def _resolve_nonce(args, allow_generate: bool) -> bytes:
+def _resolve_nonce(args) -> bytes:
     if args.nonce is not None:
         return _decode_flag("--nonce", args.nonce, aead.NONCE_BYTES)
-    if allow_generate and getattr(args, "gen_nonce", False):
+    # only the encrypt parser defines gen_nonce
+    if getattr(args, "gen_nonce", False):
         nonce = os.urandom(aead.NONCE_BYTES)
         print(f"NONCE={hex_encode(nonce)}", file=sys.stderr)
         return nonce
-    if allow_generate:
-        raise UsageError("a nonce is required: pass --nonce or --gen-nonce")
-    raise UsageError("a nonce is required: pass --nonce")
+    flags = "--nonce or --gen-nonce" if hasattr(args, "gen_nonce") else "--nonce"
+    raise UsageError(f"a nonce is required: pass {flags}")
 
 
 def _resolve_ad(args) -> bytes:
@@ -232,7 +233,7 @@ def _note(args, message: str) -> None:
 def cmd_encrypt(args) -> int:
     params = aead.VARIANTS[args.variant]
     key = _resolve_key(args)
-    nonce = _resolve_nonce(args, allow_generate=True)
+    nonce = _resolve_nonce(args)
     ad = _resolve_ad(args)
     if args.pt is not None:
         plaintext = _decode_flag("--pt", args.pt)
@@ -254,7 +255,7 @@ def cmd_encrypt(args) -> int:
 def cmd_decrypt(args) -> int:
     params = aead.VARIANTS[args.variant]
     key = _resolve_key(args)
-    nonce = _resolve_nonce(args, allow_generate=False)
+    nonce = _resolve_nonce(args)
     ad = _resolve_ad(args)
     if args.ct is not None:
         ciphertext = _decode_flag("--ct", args.ct)
@@ -289,13 +290,8 @@ def cmd_decrypt(args) -> int:
 def cmd_kat(args) -> int:
     params = aead.VARIANTS[args.variant]
     try:
-        with open(args.path) as f:
-            text = f.read()
-    except OSError as exc:
-        raise _IoFailure(f"cannot read {args.path}: {exc.strerror}") from exc
-    try:
-        records = kat.parse_kat_file(text)
-    except kat.KatParseError as exc:
+        records = kat.parse_kat_file(_read_file(None, args.path).decode("utf-8"))
+    except (UnicodeDecodeError, kat.KatParseError) as exc:
         raise UsageError(f"{args.path}: {exc}") from None
     _note(args, f"{params.name}: {len(records)} records from {args.path}")
     report = kat.run_kat(records, params)

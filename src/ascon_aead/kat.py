@@ -9,20 +9,21 @@ Reads the NIST LWC AEAD vector format: blank-line-separated blocks of
     AD =
     CT = E355159F292911F794CB1432A0103A8A
 
-where CT holds ciphertext || 16-byte tag.  Verification runs every record
-in both directions: encrypt must reproduce CT exactly, decrypt must accept
-the tag and reproduce PT.  Failures are data in the report, not exceptions.
+where CT holds ciphertext || 16-byte tag.  A record also ends at the next
+Count line or at the end of the text.  Verification runs every record in
+both directions: encrypt must reproduce CT exactly, decrypt must accept the
+tag and reproduce PT.  Failures are data in the report, not exceptions.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 
 from . import aead
 from .codec import HexError, hex_decode
 
-_HEX_FIELDS = ("Key", "Nonce", "PT", "AD", "CT")
-_ALL_FIELDS = ("Count",) + _HEX_FIELDS
+_ALL_FIELDS = ("Count", "Key", "Nonce", "PT", "AD", "CT")
 
 
 class KatParseError(ValueError):
@@ -60,13 +61,22 @@ class KatFailure(namedtuple("KatFailure", "count direction field")):
         return f"FAIL count={self.count} dir={self.direction} field={self.field}"
 
 
-class KatReport(namedtuple("KatReport", "total passed failed failures")):
-    """Aggregate over both directions: passed + failed == 2 * total.
+class KatReport(namedtuple("KatReport", "total failures")):
+    """Aggregate over both directions of `total` records.
 
-    failures is a tuple of KatFailure.
+    failures is a tuple of KatFailure, one per failed direction; `failed`
+    counts them and `passed` is the rest of the 2 * total directions.
     """
 
     __slots__ = ()
+
+    @property
+    def failed(self) -> int:
+        return len(self.failures)
+
+    @property
+    def passed(self) -> int:
+        return 2 * self.total - self.failed
 
     def summary(self) -> str:
         return f"total={self.total} passed={self.passed} failed={self.failed}"
@@ -77,12 +87,13 @@ class KatReport(namedtuple("KatReport", "total passed failed failures")):
 
 
 def _finish_record(
-    fields: dict[str, bytes | int], prev_count: int, line_number: int
+    fields: dict[str, bytes | int], records: list[KatRecord], line_number: int
 ) -> KatRecord:
     for name in _ALL_FIELDS:
         if name not in fields:
             raise KatParseError(f"record is missing field {name}", line_number)
     count = fields["Count"]
+    prev_count = records[-1].count if records else 0
     if count <= prev_count:
         raise KatParseError(
             f"counts must increase: {count} after {prev_count}", line_number
@@ -112,25 +123,21 @@ def parse_kat_file(text: str) -> list[KatRecord]:
     """
     records: list[KatRecord] = []
     fields: dict[str, bytes | int] = {}
-    prev_count = 0
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    # A record ends at a blank line or a Count line; a blank sentinel,
+    # numbered as the last line, ends the last one.
+    for line_number, raw in chain(enumerate(lines, start=1), [(len(lines), "")]):
         line = raw.strip()
-        if not line:
-            if fields:
-                records.append(_finish_record(fields, prev_count, line_number))
-                prev_count = records[-1].count
-                fields = {}
-            continue
         name, eq, value = line.partition("=")
+        name = name.strip()
+        if (not line or (name == "Count" and eq)) and fields:
+            records.append(_finish_record(fields, records, line_number))
+            fields = {}
+        if not line:
+            continue
         if not eq:
             raise KatParseError(f"expected 'Field = value', got {line!r}", line_number)
-        name = name.strip()
         value = value.strip()
-        if name == "Count" and fields:
-            # block separator line was dropped; close the previous record
-            records.append(_finish_record(fields, prev_count, line_number))
-            prev_count = records[-1].count
-            fields = {}
         if name not in _ALL_FIELDS:
             raise KatParseError(f"unknown field {name!r}", line_number)
         if name in fields:
@@ -145,8 +152,6 @@ def parse_kat_file(text: str) -> list[KatRecord]:
                 fields[name] = hex_decode(value)
             except HexError as exc:
                 raise KatParseError(f"bad hex in {name}: {exc}", line_number) from None
-    if fields:
-        records.append(_finish_record(fields, prev_count, line_number))
     if records and records[0].count != 1:
         raise KatParseError(f"counts must start at 1, got {records[0].count}", 1)
     return records
@@ -160,12 +165,9 @@ def run_kat(records: list[KatRecord], params: aead.VariantParams) -> KatReport:
     direction, TAG (rejected) or PT (wrong output) for decrypt.
     """
     failures: list[KatFailure] = []
-    passed = 0
     for rec in sorted(records, key=lambda r: r.count):
         ct, tag = aead.encrypt(params, rec.key, rec.nonce, rec.ad, rec.pt)
-        if ct + tag == rec.ct_and_tag:
-            passed += 1
-        else:
+        if ct + tag != rec.ct_and_tag:
             field = "CT" if ct != rec.ciphertext else "TAG"
             failures.append(KatFailure(rec.count, "encrypt", field))
         try:
@@ -175,8 +177,6 @@ def run_kat(records: list[KatRecord], params: aead.VariantParams) -> KatReport:
         except aead.AuthenticationFailure:
             failures.append(KatFailure(rec.count, "decrypt", "TAG"))
         else:
-            if pt == rec.pt:
-                passed += 1
-            else:
+            if pt != rec.pt:
                 failures.append(KatFailure(rec.count, "decrypt", "PT"))
-    return KatReport(len(records), passed, len(failures), tuple(failures))
+    return KatReport(len(records), tuple(failures))

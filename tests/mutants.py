@@ -94,9 +94,8 @@ KERNEL_MUTANTS = {
     "missing linear-layer input XOR": ("^= ROTR(", "= ROTR("),
     "missing 0*||K initialization XOR": ("    s[3] ^= k1;\n    s[4] ^= k2;\n", ""),
     "extra permutation on last data block": (
-        "duplex_tail(s, in + split, out + split, len - split, rate, mode);",
-        "duplex_tail(s, in + split, out + split, len - split, rate, mode);\n"
-        "    permute(s, rounds_b);",
+        "duplex(s, in, out, len, rate, rounds_b, mode);",
+        "duplex(s, in, out, len, rate, rounds_b, mode);\n    permute(s, rounds_b);",
     ),
     "missing permutation after final AD block": (
         "ABSORB);\n        permute(s, rounds_b);",

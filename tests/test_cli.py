@@ -1,6 +1,8 @@
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ascon_aead import aead, cli
 from ascon_aead.codec import hex_decode
@@ -11,6 +13,12 @@ from conftest import kat_path, variant_like
 KEY_HEX = "000102030405060708090A0B0C0D0E0F"
 NONCE_HEX = "000102030405060708090A0B0C0D0E0F"
 KAT1_TAG = "E355159F292911F794CB1432A0103A8A"
+# Pieces of KAT text, with bytes that are not UTF-8 and control characters.
+KAT_TOKENS = [
+    *(name.encode() for name in ("Count", "Key", "Nonce", "PT", "AD", "CT")),
+    b"=", b" = ", b"0", b"1", b"2", b"9", b"00", b"0F", b"E3", b"a",
+    b" ", b"\t", b"\n", b"\n\n", b"\r", b"\r\n", b"\x0c", b"\x00", b"\xff", b"_",
+]
 
 
 def run_cli(*argv):
@@ -263,6 +271,24 @@ class TestKatCommand:
     def test_missing_file_exits_3(self, tmp_path):
         rc = run_cli("kat", str(tmp_path / "nope.txt"))
         assert rc == 3
+
+    def test_undecodable_file_exits_2_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"Count = 1\n\xff\n")
+        rc = run_cli("kat", str(bad))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @given(data=st.lists(st.sampled_from(KAT_TOKENS), max_size=40).map(b"".join))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_short_file_keeps_the_exit_contract(self, data, tmp_path, capsys):
+        path = tmp_path / "fuzz.txt"
+        path.write_bytes(data)
+        assert run_cli("kat", str(path)) in (0, 2, 5)
+        capsys.readouterr()
 
     def test_wrong_variant_exits_5(self, capsys):
         rc = run_cli("kat", "--variant", "ascon128a", str(kat_path("ascon128")))

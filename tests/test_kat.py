@@ -5,7 +5,7 @@ import pytest
 from ascon_aead import _accel, aead
 from ascon_aead.aead import ASCON_128, ASCON_128A
 from ascon_aead.codec import hex_encode
-from ascon_aead.kat import KatParseError, KatRecord, parse_kat_file, run_kat
+from ascon_aead.kat import KatParseError, KatRecord, KatReport, parse_kat_file, run_kat
 
 from conftest import accel_available
 from mutants import BUG_MUTANTS, KERNEL_MUTANTS
@@ -95,6 +95,26 @@ class TestParser:
         assert "line" in str(info.value)
         assert info.value.line_number >= 1
 
+    @pytest.mark.parametrize(
+        "text,line_number",
+        [
+            # record 1 ends at the blank line after it
+            (WELL_FORMED.replace("PT =\n", "", 1), 6),
+            # record 1 ends at the next Count line, with no blank line before it
+            (WELL_FORMED.replace("PT =\n", "", 1).replace("\n\nCount = 2", "\nCount = 2"), 6),
+            # record 2 ends at the end of the text, at the last line's number
+            (WELL_FORMED.replace("PT = 00\n", "").rstrip("\n"), 12),
+            (WELL_FORMED.replace("PT = 00\n", "").rstrip("\n") + "\n", 12),
+            # record 2 ends at the blank line that ends the text
+            (WELL_FORMED.replace("PT = 00\n", ""), 13),
+        ],
+    )
+    def test_each_record_end_reports_its_line(self, text, line_number):
+        with pytest.raises(KatParseError) as info:
+            parse_kat_file(text)
+        assert str(info.value) == f"line {line_number}: record is missing field PT"
+        assert info.value.line_number == line_number
+
     def test_counts_must_start_at_one(self):
         text = WELL_FORMED.replace("Count = 1", "Count = 3", 1)
         with pytest.raises(KatParseError):
@@ -178,6 +198,15 @@ class TestRunKat:
         good = kat_records["ascon128"][0]
         report = run_kat([self._corrupt(good, 0)], ASCON_128)
         assert report.lines()[0] == "FAIL count=1 dir=encrypt field=TAG"
+
+    def test_report_derives_passed_and_failed_from_its_failures(self, kat_records):
+        assert KatReport._fields == ("total", "failures")
+        records = kat_records["ascon128"][:3]
+        report = run_kat([self._corrupt(records[0], 0)] + records[1:], ASCON_128)
+        assert report.total == 3
+        assert report.failed == len(report.failures) == 2
+        assert report.passed == 4
+        assert report.summary() == "total=3 passed=4 failed=2"
 
     def test_wrong_variant_fails_loudly(self, kat_records):
         report = run_kat(kat_records["ascon128"][:3], ASCON_128A)
