@@ -6,11 +6,12 @@
  * ascon_encrypt and ascon_decrypt; the direction is carried by which one is
  * called.  Both wrap ascon_aead, a compiled copy of the four phases in
  * aead.py, which stay the reference; the round function is the one in
- * permutation.py, on machine words, and duplex runs it between the rate
- * blocks of one segment, AD or data.  Words are loaded and stored big-endian
- * with byte shifts, so the result does not depend on the host's byte order.
- * The only branches are on loop counters and on the public lengths, mode and
- * rate; nothing branches on, or indexes memory by, key, state or data.
+ * permutation.py, on machine words, and duplex, a copy of aead._duplex,
+ * runs it between the rate blocks of one segment, AD or data.  Words are
+ * loaded and stored big-endian with byte shifts, so the result does not
+ * depend on the host's byte order.  The only branches are on loop counters
+ * and on the public lengths, mode and rate; nothing branches on, or indexes
+ * memory by, key, state or data.
  */
 #include <stddef.h>
 #include <stdint.h>

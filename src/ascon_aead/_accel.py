@@ -30,10 +30,10 @@ to compile its own build again.
 
 from __future__ import annotations
 
+import _thread
 import hashlib
 import os
 import sysconfig
-import threading
 from importlib.machinery import ExtensionFileLoader, ModuleSpec
 
 # Paths are str.  Tests may set any os.PathLike, so they are only ever
@@ -55,7 +55,7 @@ UNAVAILABLE_REASON: str | None = None
 LIBRARY: str | None = None
 
 _kernel = None  # the extension module, once load() has succeeded
-_lock = threading.Lock()
+_lock = _thread.allocate_lock()
 
 
 class _Unavailable(Exception):

@@ -7,13 +7,14 @@ rounds, drive the same four-phase duplex flow:
 
 The phase functions are exposed individually (they are pure State -> State
 transformers) so the trace tooling and tests can pin intermediate states.
-They are the reference definition of the cipher.  They handle the rate as
-one big-endian integer (s0, or s0 || s1), move blocks in and out of it
-with int.from_bytes/int.to_bytes, and run every permutation through
-`permute` below.  When the optional compiled kernel (`_accel`) loads,
-`encrypt` and `decrypt` run each message through it in one call, a
-compiled copy of these phases that takes the variant's IV as its only
-parameter; otherwise they compose the phases here.
+They are the reference definition of the cipher.  The AD and data phases
+share one duplex routine, `_duplex`, of which the kernel's `duplex` is a
+copy.  It handles the rate as one big-endian integer (s0, or s0 || s1),
+moves blocks in and out of it with int.from_bytes/int.to_bytes, and runs
+every permutation through `permute` below.  When the optional compiled
+kernel (`_accel`) loads, `encrypt` and `decrypt` run each message through
+it in one call, a compiled copy of these phases that takes the variant's
+IV as its only parameter; otherwise they compose the phases here.
 `backend_info` says which of the two runs.
 
 Both check every argument.  Inputs that are already `bytes` with a key and
@@ -35,13 +36,13 @@ from __future__ import annotations
 import hmac
 
 from . import permutation
-from .codec import pad_10star
 from .permutation import MASK64, VALID_ROUNDS, State
 
 KEY_BYTES = 16
 NONCE_BYTES = 16
 TAG_BYTES = 16
 ROUNDS_A = 12  # initialization and finalization rounds, in every variant
+ABSORB, ENCRYPT, DECRYPT = 0, 1, 2  # _duplex modes, numbered as in _accel.c
 
 _accel_backend = None  # not probed yet; becomes the kernel module or False
 
@@ -195,6 +196,43 @@ def initialize(params: VariantParams, key: bytes, nonce: bytes) -> State:
     return state._replace(s3=state.s3 ^ k1, s4=state.s4 ^ k2)
 
 
+def _duplex(state: State, params: VariantParams, data: bytes, mode: int) -> tuple[State, bytes]:
+    """Absorb, encrypt or decrypt `data`; the new state and the output.
+
+    Step for step as `duplex` in _accel.c: a rounds_b permutation after each
+    whole block, none after the last 0 <= n < rate bytes and their padding.
+    ENCRYPT emits the rate after absorbing, DECRYPT the rate XOR the input,
+    which then becomes the rate (in the last block, its top n bytes).
+    """
+    rate, rounds = params.rate_bytes, params.rounds_b
+    last = len(data) - len(data) % rate  # whole blocks, each permuted after
+    out = bytearray()
+    for off in range(0, last, rate):
+        block = int.from_bytes(data[off : off + rate], "big")
+        value = _rate_of(state, rate)
+        if mode == DECRYPT:
+            out += (value ^ block).to_bytes(rate, "big")
+            value = block
+        else:
+            value ^= block
+            if mode == ENCRYPT:
+                out += value.to_bytes(rate, "big")
+        state = permute(_with_rate(state, value, rate), rounds)
+    n = len(data) - last
+    low = 8 * (rate - n)  # the rate's bits below the last n bytes
+    tail = int.from_bytes(data[last:], "big") << low
+    value = _rate_of(state, rate)
+    if mode == DECRYPT:
+        out += ((value ^ tail) >> low).to_bytes(n, "big")
+        value = tail | value & ((1 << low) - 1)
+    else:
+        value ^= tail
+        if mode == ENCRYPT:
+            out += (value >> low).to_bytes(n, "big")
+    value ^= 0x80 << 8 * (rate - n - 1)
+    return _with_rate(state, value, rate), bytes(out)
+
+
 def process_associated_data(state: State, params: VariantParams, ad: bytes) -> State:
     """Absorb padded AD, permuting after every block, then flip the domain bit.
 
@@ -203,62 +241,22 @@ def process_associated_data(state: State, params: VariantParams, ad: bytes) -> S
     phase off from the data phase.
     """
     if ad:
-        rate, rounds = params.rate_bytes, params.rounds_b
-        padded = pad_10star(ad, rate)
-        for off in range(0, len(padded), rate):
-            block = int.from_bytes(padded[off : off + rate], "big")
-            state = _with_rate(state, _rate_of(state, rate) ^ block, rate)
-            state = permute(state, rounds)
+        state = permute(_duplex(state, params, ad, ABSORB)[0], params.rounds_b)
     return state._replace(s4=state.s4 ^ 1)
 
 
 def encrypt_data(
     state: State, params: VariantParams, plaintext: bytes
 ) -> tuple[State, bytes]:
-    """Duplex-encrypt: absorb each padded block, emit the rate as ciphertext.
-
-    A permutation runs between blocks but not after the last one, and the
-    output is cut to |plaintext|, so the padding never reaches the wire.
-    Only the final, partial (possibly empty) block is padded.
-    """
-    rate, rounds = params.rate_bytes, params.rounds_b
-    split = len(plaintext) - len(plaintext) % rate  # whole blocks, each permuted after
-    out = bytearray()
-    for off in range(0, split, rate):
-        value = _rate_of(state, rate) ^ int.from_bytes(plaintext[off : off + rate], "big")
-        out += value.to_bytes(rate, "big")
-        state = permute(_with_rate(state, value, rate), rounds)
-    tail = plaintext[split:]
-    value = _rate_of(state, rate) ^ int.from_bytes(pad_10star(tail, rate), "big")
-    out += (value >> 8 * (rate - len(tail))).to_bytes(len(tail), "big")
-    return _with_rate(state, value, rate), bytes(out)
+    """Duplex-encrypt each padded block; the ciphertext is as long as the plaintext."""
+    return _duplex(state, params, plaintext, ENCRYPT)
 
 
 def decrypt_data(
     state: State, params: VariantParams, ciphertext: bytes
 ) -> tuple[State, bytes]:
-    """Duplex-decrypt; exact inverse of encrypt_data on state and data.
-
-    Full blocks: plaintext = rate XOR ciphertext block, then the ciphertext
-    block becomes the rate and a permutation runs.  The final partial block
-    (possibly empty) yields the top bytes of the rate XOR the tail; the rate
-    then absorbs that padded plaintext tail, as encrypt_data absorbed it,
-    which leaves the ciphertext tail in its top bytes.
-    """
-    rate, rounds = params.rate_bytes, params.rounds_b
-    split = len(ciphertext) - len(ciphertext) % rate
-    out = bytearray()
-    for off in range(0, split, rate):
-        block = int.from_bytes(ciphertext[off : off + rate], "big")
-        out += (_rate_of(state, rate) ^ block).to_bytes(rate, "big")
-        state = permute(_with_rate(state, block, rate), rounds)
-    tail = ciphertext[split:]
-    value = _rate_of(state, rate)
-    plain = value >> 8 * (rate - len(tail)) ^ int.from_bytes(tail, "big")
-    plaintext_tail = plain.to_bytes(len(tail), "big")
-    out += plaintext_tail
-    value ^= int.from_bytes(pad_10star(plaintext_tail, rate), "big")
-    return _with_rate(state, value, rate), bytes(out)
+    """Duplex-decrypt; exact inverse of encrypt_data on state and data."""
+    return _duplex(state, params, ciphertext, DECRYPT)
 
 
 def finalize(state: State, params: VariantParams, key: bytes) -> bytes:

@@ -15,6 +15,9 @@ class HexError(ValueError):
         self.position = position
 
 
+# pad_10star and xor_bytes have no caller in the package: aead pads and XORs
+# the rate as one integer.  They stay only because bench/run.py times them,
+# and go when its rows for them do.
 def pad_10star(data: bytes, rate_bytes: int) -> bytes:
     """Append 0x80 then zero bytes up to the next multiple of rate_bytes.
 

@@ -118,8 +118,9 @@ def parse_kat_file(text: str) -> list[KatRecord]:
     """Parse KAT text into records, in file order.
 
     Tolerates spaces around '=' and empty hex values; rejects unknown or
-    duplicated fields, bad hex, missing fields, non-increasing counts, and
-    per-record length violations, always naming the offending line.
+    duplicated fields, bad hex, missing fields, counts that are not ASCII
+    decimal digits, do not start at 1 or do not increase, and per-record
+    length violations, always naming the offending line.
     """
     records: list[KatRecord] = []
     fields: dict[str, bytes | int] = {}
@@ -143,17 +144,16 @@ def parse_kat_file(text: str) -> list[KatRecord]:
         if name in fields:
             raise KatParseError(f"duplicate field {name!r}", line_number)
         if name == "Count":
-            try:
-                fields[name] = int(value)
-            except ValueError:
-                raise KatParseError(f"invalid count {value!r}", line_number) from None
+            if not (value.isascii() and value.isdigit()):
+                raise KatParseError(f"invalid count {value!r}", line_number)
+            count = fields[name] = int(value)
+            if count != 1 and not records:
+                raise KatParseError(f"counts must start at 1, got {count}", line_number)
         else:
             try:
                 fields[name] = hex_decode(value)
             except HexError as exc:
                 raise KatParseError(f"bad hex in {name}: {exc}", line_number) from None
-    if records and records[0].count != 1:
-        raise KatParseError(f"counts must start at 1, got {records[0].count}", 1)
     return records
 
 

@@ -9,6 +9,10 @@ The `detected_by` count is the earliest KAT record whose CT field must
 diverge: 1 for bugs visible with empty inputs, 2 (the first record with
 non-empty associated data) for the AD-phase bug.
 
+KEY_BIT_BRANCH is no bug the KAT files can see: a branch on a key bit
+that leaves every output as it was, which tests/test_control_flow.py must
+catch.
+
 KERNEL_MUTANTS carries the same seven bug classes into the compiled kernel
 as edits of its C source, which a test builds and loads; each must be
 caught by the same earliest record as its Python twin.
@@ -62,15 +66,15 @@ BUG_MUTANTS = {
     ),
     "extra permutation on last data block": (
         _edit(aead, "encrypt_data",
-              ("return _with_rate(state, value, rate),",
-               "return permute(_with_rate(state, value, rate), rounds),")),
+              ("return _duplex(state, params, plaintext, ENCRYPT)",
+               "state, ciphertext = _duplex(state, params, plaintext, ENCRYPT)\n"
+               "    return permute(state, params.rounds_b), ciphertext")),
         1,
     ),
     "missing permutation after final AD block": (
         _edit(aead, "process_associated_data",
-              ("            state = permute(state, rounds)",
-               "            if off + rate < len(padded):  # bug: between blocks only\n"
-               "                state = permute(state, rounds)")),
+              ("state = permute(_duplex(state, params, ad, ABSORB)[0], params.rounds_b)",
+               "state = _duplex(state, params, ad, ABSORB)[0]")),
         2,
     ),
     "missing domain separator": (
@@ -79,6 +83,14 @@ BUG_MUTANTS = {
         1,
     ),
 }
+
+#: A negative control for the control-flow test: `initialize` branches on a
+#: key bit and changes no output, so only its control flow gives it away.
+KEY_BIT_BRANCH = _edit(
+    aead, "initialize",
+    ("    return state._replace(s3=",
+     "    if k1 & 1:\n        state = state._replace()\n    return state._replace(s3="),
+)
 
 
 #: name -> (text in _accel.c, its replacement); every match is replaced.

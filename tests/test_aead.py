@@ -241,6 +241,7 @@ class TestDataPhase:
             state_d, back = decrypt_data(start, params, ct)
             assert back == pt
             assert state_d == state_e
+            assert aead._duplex(start, params, pt, aead.ABSORB) == (state_e, b"")
 
     @BOTH
     @given(data=st.data())

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-AVOIDED = ("dataclasses", "inspect", "typing", "pathlib")
+AVOIDED = ("dataclasses", "inspect", "typing", "pathlib", "threading")
 
 CHILD = f"""
 import sys

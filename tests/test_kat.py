@@ -76,6 +76,10 @@ class TestParser:
         [
             (lambda t: t.replace("Key = ", "Key ", 1), "expected 'Field = value'"),
             (lambda t: t.replace("Count = 1", "Count = one", 1), "invalid count"),
+            # int() takes all three as 1; a count is ASCII decimal digits only
+            (lambda t: t.replace("Count = 1", "Count = 0_1", 1), "invalid count '0_1'"),
+            (lambda t: t.replace("Count = 1", "Count = +1", 1), "invalid count '+1'"),
+            (lambda t: t.replace("Count = 1", "Count = \u0661", 1), "invalid count '\u0661'"),
             (lambda t: t.replace("Nonce = 00", "Nonce = 0G", 1), "bad hex in Nonce"),
             (lambda t: t.replace("AD =\n", "AD = 0\n", 1), "bad hex in AD"),
             (lambda t: t.replace("PT =\n", "Spam =\n", 1), "unknown field"),
@@ -116,9 +120,12 @@ class TestParser:
         assert info.value.line_number == line_number
 
     def test_counts_must_start_at_one(self):
-        text = WELL_FORMED.replace("Count = 1", "Count = 3", 1)
-        with pytest.raises(KatParseError):
-            parse_kat_file(text)
+        # the error names the first record's Count line, wherever it is
+        for prefix, line_number in (("", 1), ("\n\n", 3)):
+            text = prefix + WELL_FORMED.replace("Count = 1", "Count = 3", 1)
+            with pytest.raises(KatParseError, match="counts must start at 1, got 3") as info:
+                parse_kat_file(text)
+            assert info.value.line_number == line_number
 
     def test_counts_must_increase(self):
         text = WELL_FORMED.replace("Count = 2", "Count = 1")
