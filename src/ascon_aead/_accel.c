@@ -9,9 +9,9 @@
  * permutation.py, on machine words, and duplex, a copy of aead._duplex,
  * runs it between the rate blocks of one segment, AD or data.  Words are
  * loaded and stored big-endian with byte shifts, so the result does not
- * depend on the host's byte order.  The only branches are on loop counters
- * and on the public lengths, mode and rate; nothing branches on, or indexes
- * memory by, key, state or data.
+ * depend on the host's byte order.  The only branches are on loop counters,
+ * on the public lengths, mode and rate, and on the verdict of the tag check;
+ * nothing branches on, or indexes memory by, key, state or data.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -20,14 +20,14 @@ enum { ABSORB = 0, ENCRYPT = 1, DECRYPT = 2 };
 
 #define ROTR(x, n) (((x) >> (n)) | ((x) << (64 - (n))))
 
-static uint64_t load64(const unsigned char *p)
+static inline uint64_t load64(const unsigned char *p)
 {
     return (uint64_t)p[0] << 56 | (uint64_t)p[1] << 48 | (uint64_t)p[2] << 40 |
            (uint64_t)p[3] << 32 | (uint64_t)p[4] << 24 | (uint64_t)p[5] << 16 |
            (uint64_t)p[6] << 8 | (uint64_t)p[7];
 }
 
-static void store64(unsigned char *p, uint64_t w)
+static inline void store64(unsigned char *p, uint64_t w)
 {
     p[0] = (unsigned char)(w >> 56);
     p[1] = (unsigned char)(w >> 48);
@@ -128,7 +128,7 @@ static void duplex(uint64_t s[5], const unsigned char *in, unsigned char *out, s
 /* Encrypt (mode ENCRYPT) or decrypt (mode DECRYPT) one message: `len`
  * bytes from `in` to `out`, with `adlen` bytes of associated data.  `key`
  * and `nonce` are 16 bytes each.  The 16-byte tag computed over the message
- * goes to `tag`; a decrypting caller compares it with the one it received.
+ * goes to `tag`; ascon_decrypt compares it with the one it received.
  *
  * `params` is the variant's 8-byte IV, which aead.py derives once per
  * VariantParams.  As the specification lays it out, it encodes k, r, a and
@@ -166,7 +166,7 @@ static void ascon_aead(unsigned mode, const unsigned char *params, const unsigne
     store64(tag + 8, s[4] ^ k2);
 }
 
-/* The two entry points; the arguments are those of ascon_aead. */
+/* Encrypt `len` bytes from `in` to `out` and write the 16-byte tag to `tag`. */
 void ascon_encrypt(const unsigned char *params, const unsigned char *key,
                    const unsigned char *nonce, const unsigned char *ad, size_t adlen,
                    const unsigned char *in, size_t len, unsigned char *out, unsigned char *tag)
@@ -174,9 +174,26 @@ void ascon_encrypt(const unsigned char *params, const unsigned char *key,
     ascon_aead(ENCRYPT, params, key, nonce, ad, adlen, in, len, out, tag);
 }
 
-void ascon_decrypt(const unsigned char *params, const unsigned char *key,
-                   const unsigned char *nonce, const unsigned char *ad, size_t adlen,
-                   const unsigned char *in, size_t len, unsigned char *out, unsigned char *tag)
+/* Decrypt `len` bytes from `in` to `out` and verify the received 16-byte
+ * `tag`: 0 when it matches, nonzero when it does not.  All 16 bytes are
+ * compared, with no early exit, and on a mismatch `out` is zeroed through
+ * a volatile pointer, so no unverified plaintext is left for the caller.
+ * Only that verdict is branched on.
+ */
+int ascon_decrypt(const unsigned char *params, const unsigned char *key,
+                  const unsigned char *nonce, const unsigned char *ad, size_t adlen,
+                  const unsigned char *in, size_t len, unsigned char *out,
+                  const unsigned char *tag)
 {
-    ascon_aead(DECRYPT, params, key, nonce, ad, adlen, in, len, out, tag);
+    unsigned char expected[16];
+    unsigned diff = 0;
+    ascon_aead(DECRYPT, params, key, nonce, ad, adlen, in, len, out, expected);
+    for (size_t i = 0; i < 16; i++)
+        diff |= (unsigned)(expected[i] ^ tag[i]);
+    if (diff) {
+        volatile unsigned char *wipe = out;
+        for (size_t i = 0; i < len; i++)
+            wipe[i] = 0;
+    }
+    return diff != 0;
 }

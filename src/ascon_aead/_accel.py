@@ -9,10 +9,14 @@ words, and is pinned to the reference path bit-for-bit by the test suite.
 Like the reference path it never branches on or indexes by secret values.
 
 `_accel.c` is plain C.  `_kernelmodule.c` is its CPython binding, the
-module `ascon_aead._kernel`: a METH_FASTCALL function per direction that
-checks its arguments, writes the output and the tag straight into two new
-`bytes` objects, and releases the GIL while the kernel runs.  Its only
-parameter is the variant's 8-byte IV, which VariantParams derives once
+module `ascon_aead._kernel`: a METH_FASTCALL function per direction, over
+one argument table.  It is the only check a call of plain `bytes` meets on
+the kernel path; aead converts or names an argument only after the binding
+has refused it.  It writes the output, and encrypt's tag, straight into new
+`bytes` objects and releases the GIL while the kernel runs.  decrypt takes
+the received tag: the kernel compares it in constant time and, when it
+fails, zeroes the plaintext, and decrypt returns None.  Its only parameter
+is the variant's 8-byte IV, which VariantParams derives once
 (`_kernel_params`); the kernel reads the rate and the data-phase rounds
 from it, as laid out in `_accel.c`.
 

@@ -1,43 +1,44 @@
 /* The CPython binding of the kernel in _accel.c: the extension module
  * ascon_aead._kernel, which _accel.py compiles from this file and _accel.c.
  *
- * encrypt(params, key, nonce, ad, data) and decrypt(...) each return
- * (out, tag): `out` has the length of `data` and `tag` is 16 bytes, both
- * fresh `bytes` that the kernel writes into directly.  Neither checks a
- * tag; aead.decrypt compares the returned one with the one it received.
+ * encrypt(params, key, nonce, ad, data) returns (out, tag), and
+ * decrypt(params, key, nonce, ad, data, tag) returns `out`, or None when the
+ * kernel finds the tag wrong and has zeroed `out`.  `out` has the length of
+ * `data`, and it and encrypt's tag are fresh `bytes` the kernel writes into.
  *
- * Every argument must be exactly `bytes`, the key and the nonce 16 bytes,
- * and `params` the 8-byte IV laid out in _accel.c, with a rate and data
- * rounds the kernel accepts; anything else raises TypeError or ValueError,
- * so no call can make the kernel read or write out of bounds.  The checks
- * branch on types and lengths only, which are public, and the errors name
- * no input bytes.  The GIL is released while the kernel runs, so calls from
- * several threads overlap.
+ * These checks are the only ones a call of plain `bytes` meets on aead's
+ * kernel path.  Every argument must be exactly `bytes`, the key, nonce and
+ * tag 16 bytes, and `params` the 8-byte IV laid out in _accel.c, with a rate
+ * and data rounds the kernel accepts; anything else raises TypeError or
+ * ValueError, so no call can make the kernel read or write out of bounds.
+ * The checks branch on types and lengths only, which are public, and the
+ * errors name no input bytes.  The GIL is released while the kernel runs.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-enum { PARAMS_BYTES = 8, KEY_BYTES = 16, NONCE_BYTES = 16, TAG_BYTES = 16, ARGS = 5 };
+enum { PARAMS_BYTES = 8, KEY_BYTES = 16, NONCE_BYTES = 16, TAG_BYTES = 16, ARGS = 6 };
 
-typedef void kernel_fn(const unsigned char *params, const unsigned char *key,
-                       const unsigned char *nonce, const unsigned char *ad, size_t adlen,
-                       const unsigned char *in, size_t len, unsigned char *out,
-                       unsigned char *tag);
+void ascon_encrypt(const unsigned char *params, const unsigned char *key,
+                   const unsigned char *nonce, const unsigned char *ad, size_t adlen,
+                   const unsigned char *in, size_t len, unsigned char *out, unsigned char *tag);
+int ascon_decrypt(const unsigned char *params, const unsigned char *key,
+                  const unsigned char *nonce, const unsigned char *ad, size_t adlen,
+                  const unsigned char *in, size_t len, unsigned char *out,
+                  const unsigned char *tag);
 
-kernel_fn ascon_encrypt, ascon_decrypt;
-
-/* 1 when the five arguments are ones the kernel accepts; 0 with an exception set if not. */
-static int check_args(PyObject *const *args, Py_ssize_t nargs)
+/* 1 when the `want` arguments are ones the kernel accepts; 0 with an exception set if not. */
+static int check_args(PyObject *const *args, Py_ssize_t nargs, int want)
 {
-    static const char *const names[ARGS] = {"params", "key", "nonce", "ad", "data"};
-    static const Py_ssize_t sizes[ARGS] = {PARAMS_BYTES, KEY_BYTES, NONCE_BYTES, -1, -1};
+    static const char *const names[ARGS] = {"params", "key", "nonce", "ad", "data", "tag"};
+    static const Py_ssize_t sizes[ARGS] = {PARAMS_BYTES, KEY_BYTES, NONCE_BYTES, -1, -1, TAG_BYTES};
     const unsigned char *params;
 
-    if (nargs != ARGS) {
-        PyErr_Format(PyExc_TypeError, "expected %d arguments, got %zd", ARGS, nargs);
+    if (nargs != want) {
+        PyErr_Format(PyExc_TypeError, "expected %d arguments, got %zd", want, nargs);
         return 0;
     }
-    for (int i = 0; i < ARGS; i++) {
+    for (int i = 0; i < want; i++) {
         if (!PyBytes_CheckExact(args[i])) {
             PyErr_Format(PyExc_TypeError, "%s must be bytes, not %.100s", names[i],
                          Py_TYPE(args[i])->tp_name);
@@ -59,32 +60,41 @@ static int check_args(PyObject *const *args, Py_ssize_t nargs)
     return 1;
 }
 
-/* (out, tag) from `kernel` over the five arguments, or NULL with an exception set. */
-static PyObject *run(kernel_fn *kernel, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *out, *tag, *result;
-    Py_ssize_t len, adlen;
+#define ARG(i) ((const unsigned char *)PyBytes_AS_STRING(args[i]))
+#define LEN(i) ((size_t)PyBytes_GET_SIZE(args[i]))
 
-    if (!check_args(args, nargs))
+/* encrypt's (ciphertext, tag), or decrypt's plaintext or None, from the
+ * arguments; NULL with an exception set on bad arguments or no memory.
+ */
+static PyObject *run(int decrypting, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *out, *tag = NULL, *result;
+    int failed = 0;
+
+    if (!check_args(args, nargs, decrypting ? ARGS : ARGS - 1)) /* encrypt takes no tag */
         return NULL;
-    len = PyBytes_GET_SIZE(args[4]);
-    adlen = PyBytes_GET_SIZE(args[3]);
-    out = PyBytes_FromStringAndSize(NULL, len);
+    out = PyBytes_FromStringAndSize(NULL, PyBytes_GET_SIZE(args[4]));
     if (out == NULL)
         return NULL;
-    tag = PyBytes_FromStringAndSize(NULL, TAG_BYTES);
-    if (tag == NULL) {
+    if (!decrypting && (tag = PyBytes_FromStringAndSize(NULL, TAG_BYTES)) == NULL) {
         Py_DECREF(out);
         return NULL;
     }
     Py_BEGIN_ALLOW_THREADS
-    kernel((const unsigned char *)PyBytes_AS_STRING(args[0]),
-           (const unsigned char *)PyBytes_AS_STRING(args[1]),
-           (const unsigned char *)PyBytes_AS_STRING(args[2]),
-           (const unsigned char *)PyBytes_AS_STRING(args[3]), (size_t)adlen,
-           (const unsigned char *)PyBytes_AS_STRING(args[4]), (size_t)len,
-           (unsigned char *)PyBytes_AS_STRING(out), (unsigned char *)PyBytes_AS_STRING(tag));
+    if (decrypting)
+        failed = ascon_decrypt(ARG(0), ARG(1), ARG(2), ARG(3), LEN(3), ARG(4), LEN(4),
+                               (unsigned char *)PyBytes_AS_STRING(out), ARG(5));
+    else
+        ascon_encrypt(ARG(0), ARG(1), ARG(2), ARG(3), LEN(3), ARG(4), LEN(4),
+                      (unsigned char *)PyBytes_AS_STRING(out),
+                      (unsigned char *)PyBytes_AS_STRING(tag));
     Py_END_ALLOW_THREADS
+    if (decrypting) {
+        if (!failed)
+            return out;
+        Py_DECREF(out); /* the kernel has zeroed it */
+        Py_RETURN_NONE;
+    }
     result = PyTuple_Pack(2, out, tag);
     Py_DECREF(out);
     Py_DECREF(tag);
@@ -94,20 +104,20 @@ static PyObject *run(kernel_fn *kernel, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *encrypt(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    return run(ascon_encrypt, args, nargs);
+    return run(0, args, nargs);
 }
 
 static PyObject *decrypt(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    return run(ascon_decrypt, args, nargs);
+    return run(1, args, nargs);
 }
 
 static PyMethodDef methods[] = {
     {"encrypt", (PyCFunction)(void (*)(void))encrypt, METH_FASTCALL,
      "encrypt(params, key, nonce, ad, plaintext) -> (ciphertext, tag)"},
     {"decrypt", (PyCFunction)(void (*)(void))decrypt, METH_FASTCALL,
-     "decrypt(params, key, nonce, ad, ciphertext) -> (plaintext, expected tag); checks no tag"},
+     "decrypt(params, key, nonce, ad, ciphertext, tag) -> plaintext, or None if the tag fails"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -17,23 +17,21 @@ it in one call, a compiled copy of these phases that takes the variant's
 IV as its only parameter; otherwise they compose the phases here.
 `backend_info` says which of the two runs.
 
-Both check every argument.  Inputs that are already `bytes` with a key and
-nonce of the right length pass one combined test; anything else goes
-through the checks one by one, which convert other bytes-like objects and
-raise the error that names the argument at fault.
+Both check every argument.  On the kernel path a call of plain `bytes`
+meets one check, the binding's, and the kernel verifies the tag and zeroes
+the plaintext when it fails.  Only what the binding refuses, and every call
+on the pure path, goes through `_checked`, which converts other bytes-like
+objects or raises the error that names the argument at fault.
 
 Nonces must never repeat under the same key: encryption is deterministic,
 and a repeated (key, nonce) pair forfeits confidentiality.  The library
 does not and cannot detect reuse.
 
 Keys are accepted as plain bytes and never stored on objects, logged, or
-formatted into error messages.  (CPython offers no reliable way to zero
-immutable buffers, so transient copies live until garbage collection.)
+formatted into error messages.
 """
 
 from __future__ import annotations
-
-import hmac
 
 from . import permutation
 from .permutation import MASK64, VALID_ROUNDS, State
@@ -131,6 +129,23 @@ def _as_bytes(name: str, value) -> bytes:
     except TypeError:
         kind = type(value).__name__
         raise TypeError(f"{name} must be a bytes-like object, not {kind}") from None
+
+
+#: Each argument after params, in order: its name and its length (0: any).
+_ENCRYPT_ARGS = (("key", KEY_BYTES), ("nonce", NONCE_BYTES), ("associated_data", 0),
+                 ("plaintext", 0))
+_DECRYPT_ARGS = _ENCRYPT_ARGS[:3] + (("ciphertext", 0), ("tag", TAG_BYTES))
+
+
+def _checked(table, params, *args) -> list:
+    """`args` as bytes, or the error that names the first fault: types, then lengths."""
+    if not isinstance(params, VariantParams):
+        raise TypeError(f"params must be a VariantParams, not {type(params).__name__}")
+    args = [_as_bytes(name, value) for (name, _), value in zip(table, args)]
+    for (name, size), value in zip(table, args):
+        if size:
+            _check_length(name, value, size)
+    return args
 
 
 def _get_accel():
@@ -292,17 +307,15 @@ def encrypt(
     Every input may be any bytes-like object; anything else (a str, say)
     raises TypeError, and a key or nonce of the wrong length ValueError.
     """
-    if not (
-        type(key) is type(nonce) is type(associated_data) is type(plaintext) is bytes
-        and len(key) == KEY_BYTES
-        and len(nonce) == NONCE_BYTES
-    ):
-        key, nonce = _as_bytes("key", key), _as_bytes("nonce", nonce)
-        associated_data = _as_bytes("associated_data", associated_data)
-        plaintext = _as_bytes("plaintext", plaintext)
-        _check_length("key", key, KEY_BYTES)
-        _check_length("nonce", nonce, NONCE_BYTES)
     accel = _get_accel()
+    if accel is not None:
+        try:
+            return accel.encrypt(params._kernel_params, key, nonce, associated_data, plaintext)
+        except (AttributeError, TypeError, ValueError):  # AttributeError: not a VariantParams
+            pass  # _checked converts the arguments or raises the error that names one
+    key, nonce, associated_data, plaintext = _checked(
+        _ENCRYPT_ARGS, params, key, nonce, associated_data, plaintext
+    )
     if accel is not None:
         return accel.encrypt(params._kernel_params, key, nonce, associated_data, plaintext)
     state = initialize(params, key, nonce)
@@ -326,29 +339,32 @@ def decrypt(
     AuthenticationFailure is raised and no plaintext leaves this function.
     Inputs are checked as in `encrypt`, and so is the tag's length.
     """
-    if not (
-        type(key) is type(nonce) is type(associated_data) is type(ciphertext) is type(tag)
-        is bytes
-        and len(key) == KEY_BYTES
-        and len(nonce) == NONCE_BYTES
-        and len(tag) == TAG_BYTES
-    ):
-        key, nonce = _as_bytes("key", key), _as_bytes("nonce", nonce)
-        associated_data = _as_bytes("associated_data", associated_data)
-        ciphertext, tag = _as_bytes("ciphertext", ciphertext), _as_bytes("tag", tag)
-        _check_length("key", key, KEY_BYTES)
-        _check_length("nonce", nonce, NONCE_BYTES)
-        _check_length("tag", tag, TAG_BYTES)
     accel = _get_accel()
     if accel is not None:
-        plaintext, expected = accel.decrypt(
-            params._kernel_params, key, nonce, associated_data, ciphertext
+        try:
+            plaintext = accel.decrypt(
+                params._kernel_params, key, nonce, associated_data, ciphertext, tag
+            )
+            if plaintext is None:
+                raise AuthenticationFailure("authentication failed")
+            return plaintext
+        except (AttributeError, TypeError, ValueError):  # AttributeError: not a VariantParams
+            pass  # _checked converts the arguments or raises the error that names one
+    key, nonce, associated_data, ciphertext, tag = _checked(
+        _DECRYPT_ARGS, params, key, nonce, associated_data, ciphertext, tag
+    )
+    if accel is not None:
+        plaintext = accel.decrypt(
+            params._kernel_params, key, nonce, associated_data, ciphertext, tag
         )
     else:
+        import hmac  # only the pure path compares tags in Python
+
         state = initialize(params, key, nonce)
         state = process_associated_data(state, params, associated_data)
         state, plaintext = decrypt_data(state, params, ciphertext)
-        expected = finalize(state, params, key)
-    if not hmac.compare_digest(expected, tag):
+        if not hmac.compare_digest(finalize(state, params, key), tag):
+            plaintext = None
+    if plaintext is None:
         raise AuthenticationFailure("authentication failed")
     return plaintext

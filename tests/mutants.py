@@ -15,12 +15,18 @@ catch.
 
 KERNEL_MUTANTS carries the same seven bug classes into the compiled kernel
 as edits of its C source, which a test builds and loads; each must be
-caught by the same earliest record as its Python twin.
+caught by the same earliest record as its Python twin.  KERNEL_KEY_BIT_BRANCH
+and EARLY_EXIT_COMPARE are the kernel's negative controls for the C half
+of tests/test_control_flow.py.
+
+FORGERY_MUTANTS break the tag check instead, one per backend, and the
+tamper test must catch each on its own backend.
 """
 
 from __future__ import annotations
 
 import inspect
+from pathlib import Path
 
 from ascon_aead import aead, permutation
 
@@ -42,6 +48,23 @@ def _edit(module, name, *edits):
         monkeypatch.setattr(module, name, namespace[name])
 
     return apply
+
+
+def use_kernel_mutant(monkeypatch, tmp_path, edit) -> None:
+    """Make the loader build and load _accel.c with `edit`, (text, replacement), applied.
+
+    The build goes to a cache in `tmp_path`.  Call it with the loaded kernel
+    forgotten (conftest's fresh_loader), so the next call builds anew.
+    """
+    from ascon_aead import _accel
+
+    original, replacement = edit
+    source = Path(_accel._SOURCE).read_text()
+    assert original in source, f"mutant {edit!r} no longer matches _accel.c"
+    mutated = tmp_path / "_accel.c"
+    mutated.write_text(source.replace(original, replacement))
+    monkeypatch.setattr(_accel, "_SOURCE", mutated)
+    monkeypatch.setattr(_accel, "_CACHE_DIR", tmp_path / "cache")
 
 
 #: name -> (apply(monkeypatch), earliest KAT count whose CT must diverge)
@@ -114,4 +137,25 @@ KERNEL_MUTANTS = {
         "ABSORB);",
     ),
     "missing domain separator": ("s[4] ^= 1;", ""),
+}
+
+#: Negative controls for the kernel's control-flow test, as edits of
+#: _accel.c: a branch on a key bit that changes no output, and a tag
+#: compare that stops at the first differing byte.
+KERNEL_KEY_BIT_BRANCH = (
+    "    permute(s, 12);\n    s[3] ^= k1;",
+    "    permute(s, 12);\n    if (k1 & 1)\n        s[0] ^= 0;\n    s[3] ^= k1;",
+)
+EARLY_EXIT_COMPARE = ("i < 16; i++)\n        diff |=", "i < 16 && !diff; i++)\n        diff |=")
+
+#: name -> (backend, edit): the tag check broken on one backend.  A kernel
+#: edit is (text in _accel.c, its replacement); a pure one is applied as
+#: BUG_MUTANTS are.
+FORGERY_MUTANTS = {
+    "kernel ignores the compare result": ("kernel", ("return diff != 0;", "return 0;")),
+    "pure path skips compare_digest": (
+        "pure",
+        _edit(aead, "decrypt", ("hmac.compare_digest(finalize(state, params, key), tag)",
+                                "finalize(state, params, key)")),
+    ),
 }

@@ -23,6 +23,7 @@ from ascon_aead.aead import (
 from ascon_aead.permutation import State, permute
 
 from conftest import accel_available, variant_like
+from mutants import FORGERY_MUTANTS, use_kernel_mutant
 
 KEY = bytes(range(16))
 NONCE = bytes(range(16))
@@ -285,6 +286,41 @@ class TestFinalize:
             finalize(state, ASCON_128, bytes(15))
 
 
+def accepted_forgeries(params) -> list:
+    """Which of four tampered messages decrypt: ciphertext, tag, AD or nonce changed."""
+    ad, pt = b"header", b"payload bytes"
+    ct, tag = aead.encrypt(params, KEY, NONCE, ad, pt)  # as patched, if it is
+    cases = {
+        "ciphertext": (NONCE, ad, bytes([ct[0] ^ 1]) + ct[1:], tag),
+        "tag": (NONCE, ad, ct, bytes([tag[0] ^ 1]) + tag[1:]),
+        "associated_data": (NONCE, ad + b"!", ct, tag),
+        "nonce": (bytes([NONCE[0] ^ 1]) + NONCE[1:], ad, ct, tag),
+    }
+    accepted = []
+    for name, (nonce, ad2, ct2, tag2) in cases.items():
+        try:
+            aead.decrypt(params, KEY, nonce, ad2, ct2, tag2)
+        except AuthenticationFailure:
+            continue
+        accepted.append(name)
+    return accepted
+
+
+@pytest.mark.parametrize("name", sorted(FORGERY_MUTANTS))
+def test_forgery_mutant_is_caught(name, monkeypatch, tmp_path, fresh_loader):
+    """A tag check broken on one backend lets the tamper test's forgeries through."""
+    backend, edit = FORGERY_MUTANTS[name]
+    if backend == "kernel":
+        use_kernel_mutant(monkeypatch, tmp_path, edit)
+        if not accel_available():
+            pytest.skip("the compiled C kernel could not be built or loaded")
+    else:
+        monkeypatch.setattr(aead, "_accel_backend", False)
+        edit(monkeypatch)
+    assert accepted_forgeries(ASCON_128) == ["ciphertext", "tag", "associated_data", "nonce"]
+    assert aead.backend_info()["backend"] == backend
+
+
 class TestEncryptDecrypt:
     @BOTH
     def test_record_1(self, params):
@@ -307,18 +343,8 @@ class TestEncryptDecrypt:
         assert decrypt(params, key, nonce, ad, ct, tag) == pt
 
     @BOTH
-    def test_tampering_is_rejected(self, params):
-        ad, pt = b"header", b"payload bytes"
-        ct, tag = encrypt(params, KEY, NONCE, ad, pt)
-        cases = []
-        if ct:
-            cases.append((NONCE, ad, bytes([ct[0] ^ 1]) + ct[1:], tag))
-        cases.append((NONCE, ad, ct, bytes([tag[0] ^ 1]) + tag[1:]))
-        cases.append((NONCE, ad + b"!", ct, tag))
-        cases.append((bytes([NONCE[0] ^ 1]) + NONCE[1:], ad, ct, tag))
-        for nonce, ad2, ct2, tag2 in cases:
-            with pytest.raises(AuthenticationFailure):
-                decrypt(params, KEY, nonce, ad2, ct2, tag2)
+    def test_tampering_is_rejected(self, params, backend):
+        assert accepted_forgeries(params) == []
 
     def test_failure_carries_no_plaintext(self):
         pt = b"super secret payload"
@@ -366,6 +392,37 @@ class TestEncryptDecrypt:
 BYTES_LIKE = {"bytes": bytes, "bytearray": bytearray, "memoryview": memoryview}
 
 
+def _chain(error: BaseException) -> list:
+    """`error` and every exception chained to it as its cause or context."""
+    chain = [error]
+    while chain[-1].__cause__ or chain[-1].__context__:
+        chain.append(chain[-1].__cause__ or chain[-1].__context__)
+    return chain
+
+
+@pytest.fixture
+def binding_calls(backend, monkeypatch):
+    """What each call of the kernel binding returned or raised, in order.
+
+    Empty on the pure path.  On the kernel path, spies that forward to the
+    real binding's encrypt and decrypt record each outcome.
+    """
+    calls = []
+    if backend == "kernel":
+        kernel = aead._get_accel()
+        for direction in ("encrypt", "decrypt"):
+            def spy(*args, forward=getattr(kernel, direction)):
+                try:
+                    calls.append(forward(*args))
+                except Exception as exc:
+                    calls.append(exc)
+                    raise
+                return calls[-1]
+
+            monkeypatch.setattr(kernel, direction, spy)
+    return calls
+
+
 class TestInputContract:
     @BOTH
     @given(data=st.data())
@@ -381,8 +438,18 @@ class TestInputContract:
         back = decrypt(params, *wrapped[:3], *wrapped[4:])
         assert type(back) is bytes and back == pt
 
+    def test_plain_bytes_make_one_binding_call_each(self, backend, binding_calls, monkeypatch):
+        # and on the kernel path no check in Python: the binding's is the only one
+        checked = []
+        check = aead._checked
+        monkeypatch.setattr(aead, "_checked", lambda *args: checked.append(args) or check(*args))
+        ct, tag = encrypt(ASCON_128, KEY, NONCE, b"ad", b"message")
+        assert decrypt(ASCON_128, KEY, NONCE, b"ad", ct, tag) == b"message"
+        assert binding_calls == ([(ct, tag), b"message"] if backend == "kernel" else [])
+        assert len(checked) == (0 if backend == "kernel" else 2)
+
     @pytest.mark.parametrize("position", range(6))
-    def test_str_is_rejected_by_name_without_key_bytes(self, backend, position):
+    def test_str_is_rejected_by_name_without_key_bytes(self, backend, binding_calls, position):
         names = ("key", "nonce", "associated_data", "ciphertext", "tag")
         secret = "k" * 16
         args = [KEY, NONCE, b"", b"", bytes(16)]
@@ -396,23 +463,37 @@ class TestInputContract:
             call()
         assert name in str(info.value)
         assert secret not in str(info.value)
+        assert all(link is not call for link in _chain(info.value) for call in binding_calls)
+        assert len(binding_calls) == (backend == "kernel")
 
     @pytest.mark.parametrize("short", ["key", "nonce", "tag"])
-    def test_short_inputs_never_reach_the_kernel(self, backend, monkeypatch, short):
-        def must_not_run(*args):
-            raise AssertionError("the kernel was called")
-
-        kernel = aead._get_accel()
-        if kernel is not None:
-            monkeypatch.setattr(kernel, "encrypt", must_not_run)
-            monkeypatch.setattr(kernel, "decrypt", must_not_run)
+    def test_short_inputs_never_reach_the_kernel(self, backend, binding_calls, short):
+        # On the kernel path the binding refuses a short input before the
+        # kernel runs; the caller then sees aead's own error, not the binding's.
         inputs = {"key": KEY, "nonce": NONCE, "tag": bytes(16)}
         inputs[short] = bytes(15)
-        with pytest.raises(ValueError, match=short):
+        errors = []
+        with pytest.raises(ValueError) as info:
             decrypt(ASCON_128, inputs["key"], inputs["nonce"], b"", b"", inputs["tag"])
+        errors.append(info.value)
         if short != "tag":
-            with pytest.raises(ValueError, match=short):
+            with pytest.raises(ValueError) as info:
                 encrypt(ASCON_128, inputs["key"], inputs["nonce"], b"", b"")
+            errors.append(info.value)
+        for error in errors:
+            assert str(error) == f"{short} must be 16 bytes, got 15"
+            assert all(link is not call for link in _chain(error) for call in binding_calls)
+        # each call went into the binding once, which raised and returned nothing
+        assert len(binding_calls) == (len(errors) if backend == "kernel" else 0)
+        assert all(isinstance(call, ValueError) for call in binding_calls)
+
+    def test_params_must_be_a_variant(self, backend):
+        for call in (lambda: encrypt("ascon128", KEY, NONCE, b"", b""),
+                     lambda: decrypt("ascon128", KEY, NONCE, b"", b"", bytes(16))):
+            with pytest.raises(TypeError) as info:
+                call()
+            assert str(info.value) == "params must be a VariantParams, not str"
+            assert _chain(info.value) == [info.value]
 
 
 _IV = ASCON_128._kernel_params  # the kernel's whole parameter block
@@ -449,7 +530,20 @@ BAD_KERNEL_ARGS = {
     "rate-200": (0, _iv_with(1, 200), ValueError, "rate 64 or 128 bits"),
     "rounds-b-13": (0, _iv_with(3, 13), ValueError, "rounds_b 6, 8 or 12"),
     "rounds-b-255": (0, _iv_with(3, 255), ValueError, "rounds_b 6, 8 or 12"),
+    # decrypt's sixth argument, the received tag
+    "tag-str": (5, "t" * 16, TypeError, "tag must be bytes"),
+    "tag-bytearray": (5, bytearray(16), TypeError, "tag must be bytes"),
+    "tag-15-bytes": (5, bytes(15), ValueError, "tag must be 16 bytes"),
+    "tag-17-bytes": (5, bytes(17), ValueError, "tag must be 16 bytes"),
 }
+#: (direction, case) for every case an entry point has an argument for: the
+#: tag cases for decrypt alone
+KERNEL_ARG_CASES = [
+    pytest.param(direction, case, id=f"{case}-{direction}")
+    for case in sorted(BAD_KERNEL_ARGS)
+    for direction in ("encrypt", "decrypt")
+    if direction == "decrypt" or BAD_KERNEL_ARGS[case][0] < 5
+]
 
 
 @pytest.mark.skipif(
@@ -590,46 +684,52 @@ class TestAcceleratedPath:
         assert _accel.LIBRARY == str(library)
         assert superseded.exists()
 
-    @pytest.mark.parametrize("direction", ["encrypt", "decrypt"])
-    @pytest.mark.parametrize("case", sorted(BAD_KERNEL_ARGS))
+    @pytest.mark.parametrize("direction, case", KERNEL_ARG_CASES)
     def test_kernel_module_checks_its_own_arguments(self, direction, case):
         # Called directly, past aead's checks, the module must refuse what
         # would make the kernel read or write outside its buffers.
         position, value, error, reason = BAD_KERNEL_ARGS[case]
         kernel = aead._get_accel()
-        args = [ASCON_128._kernel_params, KEY, NONCE, b"ad", bytes(40)]
+        args = [ASCON_128._kernel_params, KEY, NONCE, b"ad", bytes(40), bytes(16)]
+        if direction == "encrypt":
+            del args[5]
         args[position] = value
         with pytest.raises(error, match=reason) as info:
             getattr(kernel, direction)(*args)
         assert KEY.hex() not in str(info.value)
-        with pytest.raises(TypeError):
-            getattr(kernel, direction)(*args[:4])
+        with pytest.raises(TypeError, match="expected"):
+            getattr(kernel, direction)(*args[:-1])
+        with pytest.raises(TypeError, match="expected"):
+            getattr(kernel, direction)(*args, b"")
 
-    def test_round_trips_leak_no_memory(self):
-        # One bytes object or tuple left unreleased per call would add
-        # ~50k allocated blocks; forged tags take the exception path.
-        import gc
-        import sys
 
-        messages = [bytes(range(n % 70)) for n in range(25_000)]
+def test_round_trips_leak_no_memory(backend):
+    # One bytes object or tuple left unreleased per message would add 50k
+    # allocated blocks on the kernel path (1.2k on the slower pure path), and
+    # one per forged tag, which makes the binding return None, 6k.
+    import gc
+    import sys
 
-        def run():
-            for i, pt in enumerate(messages):
-                nonce = (i & 0xFF).to_bytes(16, "big")
-                ct, tag = encrypt(ASCON_128A, KEY, nonce, pt[:7], pt)
-                if i % 8 == 0:
-                    with pytest.raises(AuthenticationFailure):
-                        decrypt(ASCON_128A, KEY, nonce, pt[:7], ct, bytes(16))
-                else:
-                    decrypt(ASCON_128A, KEY, nonce, pt[:7], ct, tag)
+    count = 25_000 if backend == "kernel" else 600
+    messages = [bytes(range(n % 70)) for n in range(count)]
 
-        run()  # warm up the caches a first run may fill
-        gc.collect()
-        before = sys.getallocatedblocks()
-        run()
-        run()
-        gc.collect()
-        assert sys.getallocatedblocks() - before < 1000
+    def run():
+        for i, pt in enumerate(messages):
+            nonce = (i & 0xFF).to_bytes(16, "big")
+            ct, tag = encrypt(ASCON_128A, KEY, nonce, pt[:7], pt)
+            if i % 8 == 0:
+                with pytest.raises(AuthenticationFailure):
+                    decrypt(ASCON_128A, KEY, nonce, pt[:7], ct, bytes(16))
+            else:
+                decrypt(ASCON_128A, KEY, nonce, pt[:7], ct, tag)
+
+    run()  # warm up the caches a first run may fill
+    gc.collect()
+    before = sys.getallocatedblocks()
+    run()
+    run()
+    gc.collect()
+    assert sys.getallocatedblocks() - before < 1000
 
 
 def test_library_name_covers_sources_flags_headers_and_abi(tmp_path):

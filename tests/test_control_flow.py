@@ -1,24 +1,35 @@
-"""The reference path's control flow does not depend on secret values.
+"""Neither backend's control flow depends on secret values.
 
-A `sys.settrace` recorder notes each (function, line, event) that runs in
-the ascon_aead package while one message is encrypted and decrypted on the
-pure path.  For both variants and every pair of AD and PT lengths drawn
-from {0, 1, r, r + 1, 2r + 1}, r the rate in bytes, different random keys,
-nonces and data must give the same sequence.
+Reference path: a `sys.settrace` recorder notes each (function, line,
+event) that runs in the ascon_aead package while one message is encrypted
+and decrypted on the pure path.  For both variants and every pair of AD and
+PT lengths drawn from {0, 1, r, r + 1, 2r + 1}, r the rate in bytes,
+different random keys, nonces and data must give the same sequence.
 
-Limit: this checks source lines only.  It cannot see time that CPython's
-integer arithmetic itself spends depending on the values it works on.
+Kernel: control_flow_driver.c and _accel.c are built with `cc -O0
+--coverage`, and each run encrypts and decrypts one message.  At the same
+variants and lengths, gcov's line and branch counts for _accel.c must be
+the same across random keys, nonces and data with the right tag, and the
+same across wrong tags that differ from it in byte 0, 8 or 15.  Right and
+wrong tags are not compared with each other: they part at the verdict.
+
+Limits: this checks source lines only.  It cannot see time that CPython's
+integer arithmetic itself spends depending on the values it works on, nor
+the machine code that `-O2` makes of _accel.c.
 """
 
 import random
+import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from ascon_aead import aead
+from ascon_aead import _accel, aead
 from ascon_aead.aead import ASCON_128, ASCON_128A
 
-from mutants import KEY_BIT_BRANCH
+from mutants import EARLY_EXIT_COMPARE, KERNEL_KEY_BIT_BRANCH, KEY_BIT_BRANCH
 
 BOTH = pytest.mark.parametrize("params", [ASCON_128, ASCON_128A], ids=lambda p: p.name)
 SECRETS_PER_PAIR = 3
@@ -80,3 +91,82 @@ def test_secrets_do_not_change_the_control_flow(params, pure_path):
 def test_key_bit_branch_is_caught(params, pure_path, monkeypatch):
     KEY_BIT_BRANCH(monkeypatch)
     assert next(divergent_pairs(params), None) is not None
+
+
+def build_counted_kernel(directory: Path, edit=None) -> Path:
+    """control_flow_driver.c and _accel.c, with `edit` applied, built for gcov in `directory`."""
+    compiler = shutil.which("cc")
+    if compiler is None or shutil.which("gcov") is None:
+        pytest.skip("no cc or no gcov on PATH")
+    source = Path(_accel._SOURCE).read_text()
+    if edit is not None:
+        assert edit[0] in source, f"mutant {edit!r} no longer matches _accel.c"
+        source = source.replace(*edit)
+    (directory / "_accel.c").write_text(source)
+    driver = Path(__file__).with_name("control_flow_driver.c")
+    build = subprocess.run(
+        [compiler, "-std=c99", "-O0", "--coverage", "-o", "driver", str(driver), "_accel.c"],
+        cwd=directory, capture_output=True, text=True, timeout=120,
+    )
+    assert build.returncode == 0, build.stderr
+    return directory
+
+
+def kernel_counts(directory: Path, variant: int, ad_len: int, pt_len: int, seed: int,
+                  forge: int) -> str:
+    """gcov's line and branch counts for _accel.c over one run of the driver."""
+    for data in directory.glob("*.gcda"):
+        data.unlink()
+    run = subprocess.run(
+        ["./driver", str(variant), str(ad_len), str(pt_len), str(seed), str(forge)],
+        cwd=directory, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    (data,) = directory.glob("*_accel.gcda")
+    report = subprocess.run(
+        ["gcov", "-b", "-c", "-t", data.name],
+        cwd=directory, capture_output=True, text=True, timeout=60,
+    )
+    assert report.returncode == 0, report.stderr
+    # each source line, with its count and the branch lines under it; line 0 is the header
+    return "\n".join(line for line in report.stdout.splitlines() if ":    0:" not in line)
+
+
+#: the tag bytes that a wrong tag differs in
+FORGED_BYTES = (0, 8, 15)
+
+
+def divergent_triples(directory: Path, variants=(0, 1)):
+    """Yield each (variant, AD length, PT length, tag) whose runs count differently.
+
+    `tag` is "right" for random secrets with the right tag and "wrong" for
+    random secrets with a tag wrong in each of FORGED_BYTES.
+    """
+    rng = random.Random(0xC0F10)
+    for variant in variants:
+        r = (ASCON_128, ASCON_128A)[variant].rate_bytes
+        lengths = (0, 1, r, r + 1, 2 * r + 1)
+        for ad_len in lengths:
+            for pt_len in lengths:
+                for tag, forges in (("right", (-1, -1, -1)), ("wrong", FORGED_BYTES)):
+                    counts = {
+                        kernel_counts(directory, variant, ad_len, pt_len,
+                                      rng.getrandbits(63), forge)
+                        for forge in forges
+                    }
+                    if len(counts) > 1:
+                        yield variant, ad_len, pt_len, tag
+
+
+def test_kernel_counts_do_not_depend_on_secrets_or_the_tag(tmp_path):
+    assert list(divergent_triples(build_counted_kernel(tmp_path))) == []
+
+
+@pytest.mark.parametrize(
+    "edit, tag",
+    [(KERNEL_KEY_BIT_BRANCH, "right"), (EARLY_EXIT_COMPARE, "wrong")],
+    ids=["key-bit-branch", "early-exit-compare"],
+)
+def test_kernel_negative_control_is_caught(tmp_path, edit, tag):
+    directory = build_counted_kernel(tmp_path, edit)
+    assert any(found[3] == tag for found in divergent_triples(directory, variants=(0,)))

@@ -24,6 +24,7 @@ ct, tag = ascon_aead.encrypt(ascon_aead.ASCON_128, key, nonce, b"ad", b"message"
 assert ascon_aead.decrypt(ascon_aead.ASCON_128, key, nonce, b"ad", ct, tag) == b"message"
 print(ascon_aead.backend_info()["backend"])
 print(" ".join(name for name in {AVOIDED!r} if name in sys.modules))
+print("hmac" in sys.modules)
 """
 
 
@@ -38,9 +39,11 @@ def run_child(code: str) -> str:
 
 
 def test_library_path_loads_no_dataclasses_typing_or_pathlib():
-    backend, loaded = run_child(CHILD).split("\n")[:2]
+    backend, loaded, hmac_loaded = run_child(CHILD).split("\n")[:3]
     assert backend in ("kernel", "pure")
     assert loaded == "", f"loaded on the {backend} path: {loaded}"
+    if backend == "kernel":  # the kernel verifies the tag itself
+        assert hmac_loaded == "False"
 
 
 def test_cli_import_loads_no_pathlib_or_tempfile():

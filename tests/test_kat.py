@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import pytest
 
 from ascon_aead import _accel, aead
@@ -8,7 +6,7 @@ from ascon_aead.codec import hex_encode
 from ascon_aead.kat import KatParseError, KatRecord, KatReport, parse_kat_file, run_kat
 
 from conftest import accel_available
-from mutants import BUG_MUTANTS, KERNEL_MUTANTS
+from mutants import BUG_MUTANTS, KERNEL_MUTANTS, use_kernel_mutant
 from oracles import serialize_records
 
 WELL_FORMED = """\
@@ -251,15 +249,8 @@ class TestBugLedgerMutants:
 @pytest.mark.parametrize("name", sorted(KERNEL_MUTANTS))
 def test_kernel_mutant_is_detected(name, kat_records, monkeypatch, tmp_path, fresh_loader):
     """A bug compiled into the kernel fails the same KAT record as its Python twin."""
-    original, replacement = KERNEL_MUTANTS[name]
     earliest = BUG_MUTANTS[name][1]
-    source = Path(_accel._SOURCE).read_text()
-    assert original in source, f"mutant {name!r} no longer matches _accel.c"
-    mutated = tmp_path / "_accel.c"
-    mutated.write_text(source.replace(original, replacement))
-    # build and load the mutated source through the real loader, from scratch
-    monkeypatch.setattr(_accel, "_SOURCE", mutated)
-    monkeypatch.setattr(_accel, "_CACHE_DIR", tmp_path / "cache")
+    use_kernel_mutant(monkeypatch, tmp_path, KERNEL_MUTANTS[name])
     report = run_kat(kat_records["ascon128"][:2], ASCON_128)
     assert aead._accel_backend is _accel.load(), _accel.UNAVAILABLE_REASON
     assert _accel.LIBRARY.startswith(str(tmp_path / "cache"))
