@@ -12,11 +12,34 @@
  * depend on the host's byte order.  The only branches are on loop counters,
  * on the public lengths, mode and rate, and on the verdict of the tag check;
  * nothing branches on, or indexes memory by, key, state or data.
+ *
+ * Two bodies, one source: where the toolchain can (TWO_BODIES below),
+ * ascon_aead is compiled twice, once for baseline x86-64 and once for
+ * x86-64-v3, whose andn and rorx make the S-box's ~a & b and the linear
+ * layer's rotations one instruction each.  The dynamic loader runs a
+ * resolver when it loads the library and binds ascon_aead to the v3 body
+ * on a CPU that has AVX2, BMI1/2 and the rest of that level, and to the
+ * baseline body on any other, so one cached build serves every x86-64 CPU.
+ * `flatten` inlines duplex, permute, load64 and store64 into each body;
+ * without it they would stay baseline functions that both bodies call.
  */
 #include <stddef.h>
 #include <stdint.h>
 
 enum { ABSORB = 0, ENCRYPT = 1, DECRYPT = 2 };
+
+/* The dispatch needs ifunc-based target_clones and the x86-64-v3 level:
+ * x86-64 ELF with glibc, and gcc 12 or later.  Any other toolchain or
+ * platform builds the one baseline body, as does defining
+ * ASCON_NO_TARGET_CLONES, which only the tests do, to run that body on a
+ * CPU where the loader would pick the other.
+ */
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && !defined(__clang__) && \
+    defined(__GNUC__) && __GNUC__ >= 12 && !defined(ASCON_NO_TARGET_CLONES)
+#define TWO_BODIES __attribute__((flatten, target_clones("arch=x86-64-v3", "default")))
+#else
+#define TWO_BODIES
+#endif
 
 #define ROTR(x, n) (((x) >> (n)) | ((x) << (64 - (n))))
 
@@ -88,8 +111,8 @@ static inline void permute(uint64_t s[5], unsigned rounds)
  * ciphertext, in the last block only its first n bytes.  Absorb writes
  * nothing, and `out` may be NULL.
  */
-static void duplex(uint64_t s[5], const unsigned char *in, unsigned char *out, size_t len,
-                   unsigned rate, unsigned rounds, unsigned mode)
+static inline void duplex(uint64_t s[5], const unsigned char *in, unsigned char *out,
+                          size_t len, unsigned rate, unsigned rounds, unsigned mode)
 {
     const size_t words = rate / 8, blocks = len / rate, last = blocks * rate, n = len - last;
     unsigned char r[16];
@@ -138,6 +161,7 @@ static void duplex(uint64_t s[5], const unsigned char *in, unsigned char *out, s
  * 12 rounds for a.  The caller checks r, b and the key and nonce lengths;
  * any other rate makes duplex write past its last block.
  */
+TWO_BODIES
 static void ascon_aead(unsigned mode, const unsigned char *params, const unsigned char *key,
                        const unsigned char *nonce, const unsigned char *ad, size_t adlen,
                        const unsigned char *in, size_t len, unsigned char *out,

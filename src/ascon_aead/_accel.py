@@ -20,6 +20,14 @@ is the variant's 8-byte IV, which VariantParams derives once
 (`_kernel_params`); the kernel reads the rate and the data-phase rounds
 from it, as laid out in `_accel.c`.
 
+The one source gives two bodies of the kernel where the toolchain can make
+them (x86-64 ELF with glibc, and gcc 12 or later): one for baseline x86-64
+and one for x86-64-v3.  The dynamic loader picks one when it loads the
+library, by the CPU it runs on.  So the compile command carries no
+CPU-specific flag, and one cached build serves every x86-64 CPU; an older
+CPU gets the baseline body rather than an illegal instruction.  Anywhere
+else the file falls back to the one baseline body.
+
 Only the standard library, the CPython headers and the system C compiler
 (`cc`) are needed.  On first use the two files are compiled into a cache
 keyed by a hash of both sources, the compile command, the header directory,

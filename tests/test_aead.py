@@ -22,7 +22,7 @@ from ascon_aead.aead import (
 )
 from ascon_aead.permutation import State, permute
 
-from conftest import accel_available, variant_like
+from conftest import PORTABLE_BODY, accel_available, variant_like
 from mutants import FORGERY_MUTANTS, use_kernel_mutant
 
 KEY = bytes(range(16))
@@ -835,13 +835,16 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
         pytest.skip("no C compiler on PATH")
     flags = ["-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Wconversion", "-Werror",
              "-O2", "-shared", "-fPIC"]
-    # the core on its own, without Python's headers, then with its binding
-    for extra in ([], [f"-I{_accel._INCLUDE}", str(_accel._BINDING)]):
-        proc = subprocess.run(
-            [compiler, *flags, "-o", str(tmp_path / "kernel.so"), str(_accel._SOURCE), *extra],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
+    # the core on its own, without Python's headers, then with its binding;
+    # each with both bodies where the toolchain makes two, and with one
+    for body in ([], [PORTABLE_BODY]):
+        for extra in ([], [f"-I{_accel._INCLUDE}", str(_accel._BINDING)]):
+            proc = subprocess.run(
+                [compiler, *flags, *body, "-o", str(tmp_path / "kernel.so"),
+                 str(_accel._SOURCE), *extra],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, (body, proc.stderr)
 
 
 def test_kernel_entry_points_stay_inside_their_buffers(tmp_path):
@@ -864,13 +867,55 @@ def test_kernel_entry_points_stay_inside_their_buffers(tmp_path):
                       capture_output=True, timeout=120).returncode != 0:
         pytest.skip("the sanitizer runtimes do not link here")
     driver = tmp_path / "driver"
-    build = subprocess.run(
-        [compiler, *flags, "-o", str(driver), str(Path(__file__).with_name("kernel_driver.c")),
-         str(_accel._SOURCE)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert build.returncode == 0, build.stderr
-    proc = subprocess.run([str(driver)], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
     cases = sum((3 * rate + 2) ** 2 for rate in (8, 16))  # lengths 0 to 3 blocks + 1, squared
-    assert proc.stdout.strip() == f"{cases} cases passed"
+    # the body the loader picks on this CPU, then the baseline body
+    for body in ([], [PORTABLE_BODY]):
+        build = subprocess.run(
+            [compiler, *flags, *body, "-o", str(driver),
+             str(Path(__file__).with_name("kernel_driver.c")), str(_accel._SOURCE)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert build.returncode == 0, build.stderr
+        proc = subprocess.run([str(driver)], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (body, proc.stderr[-2000:])
+        assert proc.stdout.strip() == f"{cases} cases passed"
+
+
+def test_v3_body_uses_andn_and_rorx_and_inlines_every_call():
+    # The x86-64-v3 body is the whole speed-up: andn and rorx in the round,
+    # and, through `flatten`, duplex and permute compiled into it rather
+    # than called as baseline functions.  Dropping either attribute fails here.
+    import os
+    import platform
+    import re
+    import shutil
+    import subprocess
+
+    from ascon_aead import _accel
+
+    compiler, objdump = shutil.which("cc"), shutil.which("objdump")
+    if (platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc"
+            or compiler is None or objdump is None):
+        pytest.skip("needs x86-64 with glibc, and cc and objdump on PATH")
+    macros = subprocess.run([compiler, "-dM", "-E", "-x", "c", os.devnull],
+                            capture_output=True, text=True, timeout=60).stdout
+    gnuc = re.search(r"#define __GNUC__ (\d+)", macros)
+    if "__clang__" in macros or gnuc is None or int(gnuc[1]) < 12:
+        pytest.skip("cc is not gcc 12 or later, so _accel.c builds one body")
+    assert accel_available(), _accel.UNAVAILABLE_REASON
+    listing = subprocess.run([objdump, "-d", "--no-show-raw-insn", _accel.LIBRARY],
+                             capture_output=True, text=True, timeout=60, check=True).stdout
+    # function name -> its instructions, each "mnemonic operands"
+    bodies = {}
+    for block in listing.split("\n\n"):
+        head, _, text = block.strip().partition("\n")
+        name = re.fullmatch(r"[0-9a-f]+ <(.+)>:", head)
+        if name:
+            bodies[name[1]] = [line.split("\t", 1)[1] for line in text.splitlines()
+                               if "\t" in line]
+    assert {"ascon_aead.arch_x86_64_v3", "ascon_aead.default"} <= bodies.keys()
+    v3 = bodies["ascon_aead.arch_x86_64_v3"]
+    assert {"andn", "rorx"} <= {insn.split()[0] for insn in v3}
+    # a compiler that adds stack canaries by default calls its abort, and only on failure
+    calls = [insn for insn in v3 if "call" in insn.split()[:2] and "<__stack_chk_fail" not in insn]
+    assert calls == []

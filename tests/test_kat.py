@@ -5,7 +5,7 @@ from ascon_aead.aead import ASCON_128, ASCON_128A
 from ascon_aead.codec import hex_encode
 from ascon_aead.kat import KatParseError, KatRecord, KatReport, parse_kat_file, run_kat
 
-from conftest import accel_available
+from conftest import PORTABLE_BODY, accel_available
 from mutants import BUG_MUTANTS, KERNEL_MUTANTS, use_kernel_mutant
 from oracles import serialize_records
 
@@ -257,6 +257,25 @@ def test_kernel_mutant_is_detected(name, kat_records, monkeypatch, tmp_path, fre
     assert any(
         f.count == earliest and f.direction == "encrypt" for f in report.failures
     ), f"kernel mutant {name!r} missed by record {earliest}"
+
+
+@pytest.mark.skipif(
+    not accel_available(), reason="the compiled C kernel could not be built or loaded"
+)
+def test_portable_kernel_body_passes_both_kat_files(kat_records, monkeypatch, tmp_path,
+                                                    fresh_loader):
+    """The baseline body, which the loader passes over on an x86-64-v3 CPU, meets every vector."""
+    from pathlib import Path
+
+    monkeypatch.setattr(_accel, "_CFLAGS", (*_accel._CFLAGS, PORTABLE_BODY))
+    monkeypatch.setattr(_accel, "_CACHE_DIR", tmp_path / "cache")
+    for name, params in (("ascon128", ASCON_128), ("ascon128a", ASCON_128A)):
+        report = run_kat(kat_records[name], params)
+        assert report.failures == ()
+        assert report.passed == 2 * len(kat_records[name])
+    assert aead._accel_backend is _accel.load(), _accel.UNAVAILABLE_REASON
+    assert _accel.LIBRARY.startswith(str(tmp_path / "cache"))
+    assert b"arch_x86_64_v3" not in Path(_accel.LIBRARY).read_bytes()
 
 
 def test_kernel_mutants_cover_every_bug_class():
