@@ -13,7 +13,12 @@ module `ascon_aead._kernel`: a METH_FASTCALL function per direction, over
 one argument table.  It is the only check a call of plain `bytes` meets on
 the kernel path; aead converts or names an argument only after the binding
 has refused it.  It writes the output, and encrypt's tag, straight into new
-`bytes` objects and releases the GIL while the kernel runs.  decrypt takes
+`bytes` objects.  It releases the GIL while the kernel runs only for
+messages whose AD and data come to 2 KiB or more (GIL_MINSIZE in
+`_kernelmodule.c`), as hashlib does from HASHLIB_GIL_MINSIZE: a shorter
+message takes the kernel a few microseconds at most, and releasing and
+re-taking the GIL would add a large share of that and, under threads,
+hand the GIL back and forth on every message.  decrypt takes
 the received tag: the kernel compares it in constant time and, when it
 fails, zeroes the plaintext, and decrypt returns None.  Its only parameter
 is the variant's 8-byte IV, which VariantParams derives once
@@ -55,7 +60,10 @@ _SOURCE = os.path.join(_HERE, "_accel.c")
 _BINDING = os.path.join(_HERE, "_kernelmodule.c")
 _MODULE = "ascon_aead._kernel"  # the name its PyInit function is looked up by
 _COMPILER = "cc"
-_CFLAGS = ("-O2", "-DNDEBUG", "-std=c99", "-shared", "-fPIC")
+# Hidden visibility leaves PyInit__kernel (PyMODINIT_FUNC) the one exported
+# symbol, so the binding calls the kernel's entry points directly, not
+# through the PLT, and no other library can interpose them.
+_CFLAGS = ("-O2", "-DNDEBUG", "-std=c99", "-shared", "-fPIC", "-fvisibility=hidden")
 _INCLUDE = sysconfig.get_paths()["include"]  # where Python.h is
 _EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")  # the interpreter's ABI tag
 _CACHE_DIR = os.path.join(_HERE, "__pycache__")

@@ -307,7 +307,7 @@ def encrypt(
     Every input may be any bytes-like object; anything else (a str, say)
     raises TypeError, and a key or nonce of the wrong length ValueError.
     """
-    accel = _get_accel()
+    accel = _accel_backend or _get_accel()  # no call once the kernel has loaded
     if accel is not None:
         try:
             return accel.encrypt(params._kernel_params, key, nonce, associated_data, plaintext)
@@ -339,7 +339,7 @@ def decrypt(
     AuthenticationFailure is raised and no plaintext leaves this function.
     Inputs are checked as in `encrypt`, and so is the tag's length.
     """
-    accel = _get_accel()
+    accel = _accel_backend or _get_accel()
     if accel is not None:
         try:
             plaintext = accel.decrypt(

@@ -17,7 +17,8 @@ KERNEL_MUTANTS carries the same seven bug classes into the compiled kernel
 as edits of its C source, which a test builds and loads; each must be
 caught by the same earliest record as its Python twin.  KERNEL_KEY_BIT_BRANCH
 and EARLY_EXIT_COMPARE are the kernel's negative controls for the C half
-of tests/test_control_flow.py.
+of tests/test_control_flow.py.  SHARED_STATE, one state for every call, is
+the negative control for the thread test in tests/test_aead.py.
 
 FORGERY_MUTANTS break the tag check instead, one per backend, and the
 tamper test must catch each on its own backend.
@@ -147,6 +148,15 @@ KERNEL_KEY_BIT_BRANCH = (
     "    permute(s, 12);\n    if (k1 & 1)\n        s[0] ^= 0;\n    s[3] ^= k1;",
 )
 EARLY_EXIT_COMPARE = ("i < 16; i++)\n        diff |=", "i < 16 && !diff; i++)\n        diff |=")
+
+#: A negative control for the thread test, as an edit of _accel.c: the
+#: state lives in one static buffer that calls overlapping in C share.
+SHARED_STATE = (
+    "    uint64_t s[5] = {load64(params), k1, k2, load64(nonce), load64(nonce + 8)};",
+    "    static uint64_t s[5];\n"
+    "    s[0] = load64(params), s[1] = k1, s[2] = k2;\n"
+    "    s[3] = load64(nonce), s[4] = load64(nonce + 8);",
+)
 
 #: name -> (backend, edit): the tag check broken on one backend.  A kernel
 #: edit is (text in _accel.c, its replacement); a pure one is applied as

@@ -23,7 +23,7 @@ from ascon_aead.aead import (
 from ascon_aead.permutation import State, permute
 
 from conftest import PORTABLE_BODY, accel_available, variant_like
-from mutants import FORGERY_MUTANTS, use_kernel_mutant
+from mutants import FORGERY_MUTANTS, SHARED_STATE, use_kernel_mutant
 
 KEY = bytes(range(16))
 NONCE = bytes(range(16))
@@ -439,14 +439,17 @@ class TestInputContract:
         assert type(back) is bytes and back == pt
 
     def test_plain_bytes_make_one_binding_call_each(self, backend, binding_calls, monkeypatch):
-        # and on the kernel path no check in Python: the binding's is the only one
-        checked = []
-        check = aead._checked
+        # and on the kernel path no check in Python: the binding's is the only
+        # one, and the resolved backend is read without calling _get_accel
+        checked, lookups = [], []
+        check, get_accel = aead._checked, aead._get_accel
         monkeypatch.setattr(aead, "_checked", lambda *args: checked.append(args) or check(*args))
+        monkeypatch.setattr(aead, "_get_accel", lambda: lookups.append(1) or get_accel())
         ct, tag = encrypt(ASCON_128, KEY, NONCE, b"ad", b"message")
         assert decrypt(ASCON_128, KEY, NONCE, b"ad", ct, tag) == b"message"
         assert binding_calls == ([(ct, tag), b"message"] if backend == "kernel" else [])
         assert len(checked) == (0 if backend == "kernel" else 2)
+        assert len(lookups) == (0 if backend == "kernel" else 2)
 
     @pytest.mark.parametrize("position", range(6))
     def test_str_is_rejected_by_name_without_key_bytes(self, backend, binding_calls, position):
@@ -546,6 +549,41 @@ KERNEL_ARG_CASES = [
 ]
 
 
+#: The thread test's plaintext: 4 KiB, above GIL_MINSIZE in _kernelmodule.c
+THREAD_TEST_PT = bytes(range(256)) * 16
+
+
+def _lost_round_trips(pt: bytes, count: int = 2000) -> int:
+    """How many of `count` round trips of `pt`, run from 8 threads, go wrong.
+
+    A round trip goes wrong when its ciphertext or tag differs from the one
+    the same backend gives for its nonce in one thread, or when it does not
+    decrypt to `pt`.  The switch interval is shortened so that threads
+    interleave as often as they can.
+    """
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    nonces = [i.to_bytes(16, "big") for i in range(count)]
+
+    def round_trip(nonce):
+        ct, tag = encrypt(ASCON_128A, KEY, nonce, b"ad", pt)
+        try:
+            return ct, tag, decrypt(ASCON_128A, KEY, nonce, b"ad", ct, tag)
+        except AuthenticationFailure:
+            return ct, tag, None
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(round_trip, nonces, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    single = [(*encrypt(ASCON_128A, KEY, nonce, b"ad", pt), pt) for nonce in nonces]
+    return sum(got != want for got, want in zip(threaded, single))
+
+
 @pytest.mark.skipif(
     not accel_available(), reason="the compiled C kernel could not be built or loaded"
 )
@@ -580,30 +618,25 @@ class TestAcceleratedPath:
             assert encrypt(params, key, nonce, ad, pt) == fast
             assert decrypt(params, key, nonce, ad, *fast) == pt
 
-    def test_threads_get_their_own_state_buffers(self, monkeypatch):
-        # the kernel module releases the GIL, so calls from threads overlap
+    def test_threads_get_their_own_state_buffers(self):
+        # the kernel module releases the GIL for messages of 2 KiB or more
+        # (GIL_MINSIZE in _kernelmodule.c), so such calls from threads overlap
         # in C; a buffer shared between calls would hand one thread another's
-        # output
-        import sys
-        from concurrent.futures import ThreadPoolExecutor
+        # output.  test_shared_state_mutant_is_caught is its negative control.
+        assert _lost_round_trips(THREAD_TEST_PT) == 0
 
-        # a collision shows up about once in 400 calls when one buffer is shared
-        nonces = [i.to_bytes(16, "big") for i in range(2000)]
-        pt = bytes(range(40))
+    def test_shared_state_mutant_is_caught(self, monkeypatch, tmp_path, fresh_loader):
+        import os
 
-        def round_trip(nonce):
-            ct, tag = encrypt(ASCON_128A, KEY, nonce, b"ad", pt)
-            return ct, tag, decrypt(ASCON_128A, KEY, nonce, b"ad", ct, tag)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                fast = list(pool.map(round_trip, nonces, timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        monkeypatch.setattr(aead, "_accel_backend", False)
-        assert fast == [(*encrypt(ASCON_128A, KEY, nonce, b"ad", pt), pt) for nonce in nonces]
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if (cpus or 1) < 2:
+            pytest.skip("calls overlap in C only rarely on one CPU")
+        use_kernel_mutant(monkeypatch, tmp_path, SHARED_STATE)
+        assert accel_available(), "the mutant kernel could not be built or loaded"
+        assert _lost_round_trips(THREAD_TEST_PT) > 0
+        # below GIL_MINSIZE a call holds the GIL, so it cannot overlap
+        # another and the shared state does no harm
+        assert _lost_round_trips(bytes(range(256)) * 4) == 0
 
     def test_backend_info_names_the_loaded_library(self):
         import json
@@ -881,10 +914,8 @@ def test_kernel_entry_points_stay_inside_their_buffers(tmp_path):
         assert proc.stdout.strip() == f"{cases} cases passed"
 
 
-def test_v3_body_uses_andn_and_rorx_and_inlines_every_call():
-    # The x86-64-v3 body is the whole speed-up: andn and rorx in the round,
-    # and, through `flatten`, duplex and permute compiled into it rather
-    # than called as baseline functions.  Dropping either attribute fails here.
+def _objdump(*options: str) -> str:
+    """`objdump` of the loaded kernel with `options`; skips where _accel.c builds one body."""
     import os
     import platform
     import re
@@ -903,8 +934,32 @@ def test_v3_body_uses_andn_and_rorx_and_inlines_every_call():
     if "__clang__" in macros or gnuc is None or int(gnuc[1]) < 12:
         pytest.skip("cc is not gcc 12 or later, so _accel.c builds one body")
     assert accel_available(), _accel.UNAVAILABLE_REASON
-    listing = subprocess.run([objdump, "-d", "--no-show-raw-insn", _accel.LIBRARY],
-                             capture_output=True, text=True, timeout=60, check=True).stdout
+    return subprocess.run([objdump, *options, _accel.LIBRARY],
+                          capture_output=True, text=True, timeout=60, check=True).stdout
+
+
+def test_module_exports_only_its_init_and_calls_the_kernel_directly():
+    # -fvisibility=hidden in _accel._CFLAGS: the entry points are no dynamic
+    # symbols, so the binding reaches them without the PLT and no other
+    # library can interpose them
+    import re
+
+    defined = [line.split()[-1] for line in _objdump("-T").splitlines()
+               if re.match(r"[0-9a-f]+ ", line) and "*UND*" not in line]
+    assert defined == ["PyInit__kernel"]
+    listing = _objdump("-d", "--no-show-raw-insn")
+    for name in ("ascon_encrypt", "ascon_decrypt"):
+        assert re.search(rf"call\s+[0-9a-f]+ <{name}>", listing), name
+    assert not re.search(r"<ascon_\w*@plt>", listing)
+
+
+def test_v3_body_uses_andn_and_rorx_and_inlines_every_call():
+    # The x86-64-v3 body is the whole speed-up: andn and rorx in the round,
+    # and, through `flatten`, duplex and permute compiled into it rather
+    # than called as baseline functions.  Dropping either attribute fails here.
+    import re
+
+    listing = _objdump("-d", "--no-show-raw-insn")
     # function name -> its instructions, each "mnemonic operands"
     bodies = {}
     for block in listing.split("\n\n"):
