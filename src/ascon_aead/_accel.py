@@ -31,7 +31,10 @@ and one for x86-64-v3.  The dynamic loader picks one when it loads the
 library, by the CPU it runs on.  So the compile command carries no
 CPU-specific flag, and one cached build serves every x86-64 CPU; an older
 CPU gets the baseline body rather than an illegal instruction.  Anywhere
-else the file falls back to the one baseline body.
+else the file falls back to the one baseline body.  Each body holds the
+state in registers through the data loop, with one copy of the loop per
+direction and two rounds per pass, which makes the first compile take
+about 0.5 s.
 
 Only the standard library, the CPython headers and the system C compiler
 (`cc`) are needed.  On first use the two files are compiled into a cache
@@ -48,10 +51,10 @@ to compile its own build again.
 from __future__ import annotations
 
 import _thread
-import hashlib
 import os
 import sysconfig
 from importlib.machinery import ExtensionFileLoader, ModuleSpec
+from importlib.util import source_hash
 
 # Paths are str.  Tests may set any os.PathLike, so they are only ever
 # passed to open() and os.* functions.
@@ -119,10 +122,15 @@ def _read(path) -> bytes:
 
 
 def _library_name() -> str:
-    """The cache file name: a hash of everything the built library depends on."""
+    """The cache file name: a hash of everything the built library depends on.
+
+    The hash is CPython's own 64-bit hash for hash-based .pyc files, which
+    is the same in every process of one interpreter version; it saves
+    loading hashlib at start-up.
+    """
     key = repr((_COMPILER, _CFLAGS, _INCLUDE, _EXT_SUFFIX, sysconfig.get_platform(),
                 _read(_SOURCE), _read(_BINDING)))
-    return f"_accel-{hashlib.sha256(key.encode()).hexdigest()[:16]}{_EXT_SUFFIX}"
+    return f"_accel-{source_hash(key.encode()).hex()}{_EXT_SUFFIX}"
 
 
 def _library() -> str:

@@ -214,8 +214,9 @@ def initialize(params: VariantParams, key: bytes, nonce: bytes) -> State:
 def _duplex(state: State, params: VariantParams, data: bytes, mode: int) -> tuple[State, bytes]:
     """Absorb, encrypt or decrypt `data`; the new state and the output.
 
-    Step for step as `duplex` in _accel.c: a rounds_b permutation after each
-    whole block, none after the last 0 <= n < rate bytes and their padding.
+    Step for step as its twin, `duplex` in _accel.c, which holds the rate as
+    the word x0 and, at rate 16, x1: a rounds_b permutation after each whole
+    block, none after the last 0 <= n < rate bytes and their padding.
     ENCRYPT emits the rate after absorbing, DECRYPT the rate XOR the input,
     which then becomes the rate (in the last block, its top n bytes).
     """

@@ -128,34 +128,48 @@ KERNEL_MUTANTS = {
         "#define ROTR(x, n) (((x) << (n)) | ((x) >> (64 - (n))))",
     ),
     "missing linear-layer input XOR": ("^= ROTR(", "= ROTR("),
-    "missing 0*||K initialization XOR": ("    s[3] ^= k1;\n    s[4] ^= k2;\n", ""),
+    "missing 0*||K initialization XOR": ("    s.x3 ^= k1;\n    s.x4 ^= k2;\n", ""),
     "extra permutation on last data block": (
-        "duplex(s, in, out, len, rate, rounds_b, mode);",
-        "duplex(s, in, out, len, rate, rounds_b, mode);\n    permute(s, rounds_b);",
+        "s = duplex(s, in, out, len, rate, rounds_b, mode);",
+        "s = duplex(s, in, out, len, rate, rounds_b, mode);\n    s = permute(s, rounds_b);",
     ),
     "missing permutation after final AD block": (
-        "ABSORB);\n        permute(s, rounds_b);",
-        "ABSORB);",
+        "s = permute(duplex(s, ad, NULL, adlen, rate, rounds_b, ABSORB), rounds_b);",
+        "s = duplex(s, ad, NULL, adlen, rate, rounds_b, ABSORB);",
     ),
-    "missing domain separator": ("s[4] ^= 1;", ""),
+    "missing domain separator": ("s.x4 ^= 1;", ""),
 }
 
 #: Negative controls for the kernel's control-flow test, as edits of
 #: _accel.c: a branch on a key bit that changes no output, and a tag
 #: compare that stops at the first differing byte.
 KERNEL_KEY_BIT_BRANCH = (
-    "    permute(s, 12);\n    s[3] ^= k1;",
-    "    permute(s, 12);\n    if (k1 & 1)\n        s[0] ^= 0;\n    s[3] ^= k1;",
+    "    s = permute(s, 12);\n    s.x3 ^= k1;",
+    "    s = permute(s, 12);\n    if (k1 & 1)\n        s.x0 ^= 0;\n    s.x3 ^= k1;",
 )
 EARLY_EXIT_COMPARE = ("i < 16; i++)\n        diff |=", "i < 16 && !diff; i++)\n        diff |=")
 
 #: A negative control for the thread test, as an edit of _accel.c: the
-#: state lives in one static buffer that calls overlapping in C share.
+#: block loop keeps the state in one static variable, which calls that
+#: overlap in C share.  It is volatile because gcc -O2 would otherwise keep
+#: a static state in registers and only ever store it, so that no call
+#: could read another's.
 SHARED_STATE = (
-    "    uint64_t s[5] = {load64(params), k1, k2, load64(nonce), load64(nonce + 8)};",
-    "    static uint64_t s[5];\n"
-    "    s[0] = load64(params), s[1] = k1, s[2] = k2;\n"
-    "    s[3] = load64(nonce), s[4] = load64(nonce + 8);",
+    "    for (size_t off = 0; off < last; off += rate) {\n"
+    "        s.x0 = rate_word(s.x0, in, out, off, mode);\n"
+    "        if (rate == 16)\n"
+    "            s.x1 = rate_word(s.x1, in, out, off + 8, mode);\n"
+    "        s = permute(s, rounds);\n"
+    "    }",
+    "    static volatile state shared;\n"
+    "    shared = s;\n"
+    "    for (size_t off = 0; off < last; off += rate) {\n"
+    "        shared.x0 = rate_word(shared.x0, in, out, off, mode);\n"
+    "        if (rate == 16)\n"
+    "            shared.x1 = rate_word(shared.x1, in, out, off + 8, mode);\n"
+    "        shared = permute(shared, rounds);\n"
+    "    }\n"
+    "    s = shared;",
 )
 
 #: name -> (backend, edit): the tag check broken on one backend.  A kernel

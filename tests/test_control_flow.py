@@ -12,10 +12,13 @@ variants and every pair of AD and PT lengths of 0 to 3 blocks plus or minus
 one byte (0, 1, r - 1, r, r + 1, ..., 3r + 1), the coverage counters for
 _accel.c, from which gcov computes its line and branch counts, must be the
 same across random keys, nonces and data with the right tag, and the same
-across wrong tags that differ from it in byte 0, 8 or 15.  Right and wrong
-tags are not compared with each other: they part at the verdict.  Both
-bodies of ascon_aead are checked: the one the loader picks on this CPU, and
-the baseline body, built with conftest.PORTABLE_BODY.  The first build also
+across wrong tags that differ from it in byte 0, 8 or 15.  A run with the
+right tag and one with a wrong tag must part at the verdict and only there:
+gcov's line and branch counts may differ on the lines of ascon_decrypt's
+verdict branch and its wipe loop, must differ on at least one of them, and
+must match on every other line.  Both bodies of ascon_aead are checked:
+the one the loader picks on this CPU, and the baseline body, built with
+conftest.PORTABLE_BODY.  The first build also
 holds the resolver that picks the body.  It runs once per process, and its
 path depends only on the CPU, never on a message, so it cannot make two
 runs on one machine count differently.
@@ -25,6 +28,8 @@ integer arithmetic itself spends depending on the values it works on, nor
 the machine code that `-O2` makes of _accel.c.
 """
 
+import itertools
+import json
 import random
 import shutil
 import subprocess
@@ -104,8 +109,8 @@ def test_key_bit_branch_is_caught(params, pure_path, monkeypatch):
 def build_counted_kernel(directory: Path, edit=None, flags=()) -> Path:
     """control_flow_driver.c and _accel.c, with `edit` applied, built for gcov in `directory`."""
     compiler = shutil.which("cc")
-    if compiler is None:
-        pytest.skip("no C compiler on PATH")
+    if compiler is None or shutil.which("gcov") is None:
+        pytest.skip("needs cc and gcov on PATH")
     source = Path(_accel._SOURCE).read_text()
     if edit is not None:
         assert edit[0] in source, f"mutant {edit!r} no longer matches _accel.c"
@@ -139,6 +144,31 @@ def kernel_counts(directory: Path, variant: int, ad_len: int, pt_len: int, seed:
     return data.read_bytes()
 
 
+def gcov_lines(directory: Path) -> dict:
+    """(function, line) -> (count, branch counts) for _accel.c, from the last run's data file."""
+    (data,) = directory.glob("*_accel.gcda")
+    report = subprocess.run(
+        ["gcov", "--json-format", "--stdout", "--branch-probabilities",
+         data.name],
+        cwd=directory, capture_output=True, text=True, timeout=60,
+    )
+    assert report.returncode == 0, report.stderr
+    (source,) = (f for f in json.loads(report.stdout)["files"] if f["file"].endswith("_accel.c"))
+    return {
+        (line["function_name"], line["line_number"]):
+            (line["count"], tuple(branch["count"] for branch in line["branches"]))
+        for line in source["lines"]
+    }
+
+
+def verdict_lines(directory: Path) -> set:
+    """The lines of ascon_decrypt's verdict branch and wipe loop: `if (diff) {` to its `}`."""
+    lines = (directory / "_accel.c").read_text().splitlines()
+    first = lines.index("    if (diff) {")
+    last = lines.index("    }", first)
+    return set(range(first + 1, last + 2))  # gcov numbers lines from 1
+
+
 #: the tag bytes that a wrong tag differs in
 FORGED_BYTES = (0, 8, 15)
 
@@ -147,23 +177,37 @@ def divergent_triples(directory: Path, variants=(0, 1)):
     """Yield each (variant, AD length, PT length, tag) whose runs count differently.
 
     `tag` is "right" for random secrets with the right tag and "wrong" for
-    random secrets with a tag wrong in each of FORGED_BYTES.
+    random secrets with a tag wrong in each of FORGED_BYTES.  It is "right
+    vs wrong" when a run with the right tag and one with a wrong tag differ
+    on a line outside verdict_lines, or on none of them.
     """
     rng = random.Random(0xC0F10)
+    verdict = verdict_lines(directory)
+    lines_of = {}  # data file -> gcov_lines; equal files give equal counts
     for variant in variants:
         r = (ASCON_128, ASCON_128A)[variant].rate_bytes
         # every length of 0 to 3 blocks, plus or minus one byte
         lengths = sorted({0, 1, *(k * r + d for k in (1, 2, 3) for d in (-1, 0, 1))})
         for ad_len in lengths:
             for pt_len in lengths:
+                runs = {}
                 for tag, forges in (("right", (-1, -1, -1)), ("wrong", FORGED_BYTES)):
-                    counts = {
-                        kernel_counts(directory, variant, ad_len, pt_len,
-                                      rng.getrandbits(63), forge)
-                        for forge in forges
-                    }
-                    if len(counts) > 1:
+                    runs[tag] = set()
+                    for forge in forges:
+                        data = kernel_counts(directory, variant, ad_len, pt_len,
+                                             rng.getrandbits(63), forge)
+                        if data not in lines_of:
+                            lines_of[data] = gcov_lines(directory)
+                        runs[tag].add(data)
+                    if len(runs[tag]) > 1:
                         yield variant, ad_len, pt_len, tag
+                for right, wrong in itertools.product(runs["right"], runs["wrong"]):
+                    right, wrong = lines_of[right], lines_of[wrong]
+                    parted = {line for key in right.keys() | wrong.keys()
+                              if right.get(key) != wrong.get(key) for line in key[1:]}
+                    if not parted or not parted <= verdict:
+                        yield variant, ad_len, pt_len, "right vs wrong"
+                        break
 
 
 def test_kernel_counts_do_not_depend_on_secrets_or_the_tag(tmp_path):
@@ -174,10 +218,10 @@ def test_kernel_counts_do_not_depend_on_secrets_or_the_tag(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "edit, tag",
-    [(KERNEL_KEY_BIT_BRANCH, "right"), (EARLY_EXIT_COMPARE, "wrong")],
+    "edit, tags",
+    [(KERNEL_KEY_BIT_BRANCH, {"right"}), (EARLY_EXIT_COMPARE, {"wrong", "right vs wrong"})],
     ids=["key-bit-branch", "early-exit-compare"],
 )
-def test_kernel_negative_control_is_caught(tmp_path, edit, tag):
+def test_kernel_negative_control_is_caught(tmp_path, edit, tags):
     directory = build_counted_kernel(tmp_path, edit)
-    assert any(found[3] == tag for found in divergent_triples(directory, variants=(0,)))
+    assert tags <= {found[3] for found in divergent_triples(directory, variants=(0,))}
