@@ -17,11 +17,10 @@ it in one call, a compiled copy of these phases that takes the variant's
 IV as its only parameter; otherwise they compose the phases here.
 `backend_info` says which of the two runs.
 
-Both check every argument.  On the kernel path a call of plain `bytes`
-meets one check, the binding's, and the kernel verifies the tag and zeroes
-the plaintext when it fails.  Only what the binding refuses, and every call
-on the pure path, goes through `_checked`, which converts other bytes-like
-objects or raises the error that names the argument at fault.
+Both check each argument once, with the same errors: the binding on the
+kernel path, copying once an argument that is bytes-like but not `bytes`,
+and `_checked` on the pure path and for a `params` that is not a
+VariantParams.  The kernel verifies the tag and zeroes failed plaintext.
 
 Nonces must never repeat under the same key: encryption is deterministic,
 and a repeated (key, nonce) pair forfeits confidentiality.  The library
@@ -120,17 +119,6 @@ def _check_length(name: str, value: bytes, size: int) -> None:
         raise ValueError(f"{name} must be {size} bytes, got {len(value)}")
 
 
-def _as_bytes(name: str, value) -> bytes:
-    """`value` as bytes when it is bytes-like; TypeError naming `name` otherwise."""
-    if type(value) is bytes:
-        return value
-    try:
-        return memoryview(value).tobytes()
-    except TypeError:
-        kind = type(value).__name__
-        raise TypeError(f"{name} must be a bytes-like object, not {kind}") from None
-
-
 #: Each argument after params, in order: its name and its length (0: any).
 _ENCRYPT_ARGS = (("key", KEY_BYTES), ("nonce", NONCE_BYTES), ("associated_data", 0),
                  ("plaintext", 0))
@@ -141,11 +129,17 @@ def _checked(table, params, *args) -> list:
     """`args` as bytes, or the error that names the first fault: types, then lengths."""
     if not isinstance(params, VariantParams):
         raise TypeError(f"params must be a VariantParams, not {type(params).__name__}")
-    args = [_as_bytes(name, value) for (name, _), value in zip(table, args)]
-    for (name, size), value in zip(table, args):
+    converted = []
+    for (name, _), value in zip(table, args):
+        try:
+            converted.append(memoryview(value).tobytes())
+        except TypeError:
+            kind = type(value).__name__
+            raise TypeError(f"{name} must be a bytes-like object, not {kind}") from None
+    for (name, size), value in zip(table, converted):
         if size:
             _check_length(name, value, size)
-    return args
+    return converted
 
 
 def _get_accel():
@@ -312,13 +306,11 @@ def encrypt(
     if accel is not None:
         try:
             return accel.encrypt(params._kernel_params, key, nonce, associated_data, plaintext)
-        except (AttributeError, TypeError, ValueError):  # AttributeError: not a VariantParams
-            pass  # _checked converts the arguments or raises the error that names one
+        except AttributeError:  # params is not a VariantParams, which _checked names
+            pass
     key, nonce, associated_data, plaintext = _checked(
         _ENCRYPT_ARGS, params, key, nonce, associated_data, plaintext
     )
-    if accel is not None:
-        return accel.encrypt(params._kernel_params, key, nonce, associated_data, plaintext)
     state = initialize(params, key, nonce)
     state = process_associated_data(state, params, associated_data)
     state, ciphertext = encrypt_data(state, params, plaintext)
@@ -346,26 +338,20 @@ def decrypt(
             plaintext = accel.decrypt(
                 params._kernel_params, key, nonce, associated_data, ciphertext, tag
             )
+        except AttributeError:  # params is not a VariantParams, which _checked names
+            pass
+        else:
             if plaintext is None:
                 raise AuthenticationFailure("authentication failed")
             return plaintext
-        except (AttributeError, TypeError, ValueError):  # AttributeError: not a VariantParams
-            pass  # _checked converts the arguments or raises the error that names one
     key, nonce, associated_data, ciphertext, tag = _checked(
         _DECRYPT_ARGS, params, key, nonce, associated_data, ciphertext, tag
     )
-    if accel is not None:
-        plaintext = accel.decrypt(
-            params._kernel_params, key, nonce, associated_data, ciphertext, tag
-        )
-    else:
-        import hmac  # only the pure path compares tags in Python
+    import hmac  # only the pure path compares tags in Python
 
-        state = initialize(params, key, nonce)
-        state = process_associated_data(state, params, associated_data)
-        state, plaintext = decrypt_data(state, params, ciphertext)
-        if not hmac.compare_digest(finalize(state, params, key), tag):
-            plaintext = None
-    if plaintext is None:
+    state = initialize(params, key, nonce)
+    state = process_associated_data(state, params, associated_data)
+    state, plaintext = decrypt_data(state, params, ciphertext)
+    if not hmac.compare_digest(finalize(state, params, key), tag):
         raise AuthenticationFailure("authentication failed")
     return plaintext

@@ -22,6 +22,7 @@ from ascon_aead.aead import (
 )
 from ascon_aead.permutation import State, permute
 
+from binding_driver import VALID_KINDS, WRONG_LENGTHS, WRONG_TYPES, outcome
 from conftest import PORTABLE_BODY, accel_available, variant_like
 from mutants import FORGERY_MUTANTS, SHARED_STATE, use_kernel_mutant
 
@@ -438,18 +439,47 @@ class TestInputContract:
         back = decrypt(params, *wrapped[:3], *wrapped[4:])
         assert type(back) is bytes and back == pt
 
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_and_pure_paths_agree_on_every_input(self, data):
+        # The binding is the kernel path's only check, and _checked the pure
+        # path's: for any mix of valid, wrongly typed and wrongly sized
+        # arguments both must return the same result or raise the same error.
+        if not accel_available():
+            pytest.skip("the compiled C kernel could not be built or loaded")
+        params = data.draw(st.sampled_from([ASCON_128, ASCON_128A]))
+        key, nonce, ad, pt = data.draw(keys), data.draw(keys), data.draw(small), data.draw(small)
+        ct, tag = encrypt(params, key, nonce, ad, pt)
+        direction = data.draw(st.sampled_from(["encrypt", "decrypt"]))
+        values = [key, nonce, ad, pt] if direction == "encrypt" else [key, nonce, ad, ct, tag]
+        args = []
+        for position, value in enumerate(values):
+            sized = position in (0, 1, 4)  # the key, the nonce, the tag
+            kinds = {**VALID_KINDS, **WRONG_TYPES, **(WRONG_LENGTHS if sized else {})}
+            args.append(kinds[data.draw(st.sampled_from(sorted(kinds)))](value))
+        call = getattr(aead, direction)
+        kernel = outcome(lambda: call(params, *args))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(aead, "_accel_backend", False)
+            assert outcome(lambda: call(params, *args)) == kernel
+
     def test_plain_bytes_make_one_binding_call_each(self, backend, binding_calls, monkeypatch):
-        # and on the kernel path no check in Python: the binding's is the only
-        # one, and the resolved backend is read without calling _get_accel
+        # and so does every other bytes-like kind; on the kernel path no check
+        # in Python: the binding's is the only one, and the resolved backend
+        # is read without calling _get_accel
         checked, lookups = [], []
         check, get_accel = aead._checked, aead._get_accel
         monkeypatch.setattr(aead, "_checked", lambda *args: checked.append(args) or check(*args))
         monkeypatch.setattr(aead, "_get_accel", lambda: lookups.append(1) or get_accel())
         ct, tag = encrypt(ASCON_128, KEY, NONCE, b"ad", b"message")
-        assert decrypt(ASCON_128, KEY, NONCE, b"ad", ct, tag) == b"message"
-        assert binding_calls == ([(ct, tag), b"message"] if backend == "kernel" else [])
-        assert len(checked) == (0 if backend == "kernel" else 2)
-        assert len(lookups) == (0 if backend == "kernel" else 2)
+        for kind in BYTES_LIKE.values():
+            assert encrypt(ASCON_128, *map(kind, (KEY, NONCE, b"ad", b"message"))) == (ct, tag)
+            assert decrypt(ASCON_128, *map(kind, (KEY, NONCE, b"ad", ct, tag))) == b"message"
+        calls = 1 + 2 * len(BYTES_LIKE)
+        assert binding_calls == ([(ct, tag)] + [(ct, tag), b"message"] * len(BYTES_LIKE)
+                                 if backend == "kernel" else [])
+        assert len(checked) == (0 if backend == "kernel" else calls)
+        assert len(lookups) == (0 if backend == "kernel" else calls)
 
     @pytest.mark.parametrize("position", range(6))
     def test_str_is_rejected_by_name_without_key_bytes(self, backend, binding_calls, position):
@@ -466,13 +496,13 @@ class TestInputContract:
             call()
         assert name in str(info.value)
         assert secret not in str(info.value)
-        assert all(link is not call for link in _chain(info.value) for call in binding_calls)
-        assert len(binding_calls) == (backend == "kernel")
+        # on the kernel path the caller gets the binding's own error
+        assert binding_calls == ([info.value] if backend == "kernel" else [])
 
     @pytest.mark.parametrize("short", ["key", "nonce", "tag"])
     def test_short_inputs_never_reach_the_kernel(self, backend, binding_calls, short):
         # On the kernel path the binding refuses a short input before the
-        # kernel runs; the caller then sees aead's own error, not the binding's.
+        # kernel runs, with aead's own error, which the caller gets as it is.
         inputs = {"key": KEY, "nonce": NONCE, "tag": bytes(16)}
         inputs[short] = bytes(15)
         errors = []
@@ -485,10 +515,26 @@ class TestInputContract:
             errors.append(info.value)
         for error in errors:
             assert str(error) == f"{short} must be 16 bytes, got 15"
-            assert all(link is not call for link in _chain(error) for call in binding_calls)
-        # each call went into the binding once, which raised and returned nothing
-        assert len(binding_calls) == (len(errors) if backend == "kernel" else 0)
-        assert all(isinstance(call, ValueError) for call in binding_calls)
+        # each call went into the binding once, which raised what the caller got
+        assert binding_calls == (errors if backend == "kernel" else [])
+
+    @pytest.mark.parametrize("faults, message", [
+        pytest.param({"key": bytes(15), "nonce": "n" * 16},
+                     "nonce must be a bytes-like object, not str", id="short-key-str-nonce"),
+        pytest.param({"tag": bytes(15), "associated_data": [0]},
+                     "associated_data must be a bytes-like object, not list",
+                     id="short-tag-list-ad"),
+        pytest.param({"key": bytes(15), "nonce": bytes(17)},
+                     "key must be 16 bytes, got 15", id="short-key-long-nonce"),
+        pytest.param({"nonce": bytes(15), "tag": bytes(17)},
+                     "nonce must be 16 bytes, got 15", id="short-nonce-long-tag"),
+    ])
+    def test_every_type_is_checked_before_any_length(self, backend, faults, message):
+        args = {"key": KEY, "nonce": NONCE, "associated_data": b"", "ciphertext": b"",
+                "tag": bytes(16), **faults}
+        with pytest.raises((TypeError, ValueError)) as info:
+            decrypt(ASCON_128, **args)
+        assert str(info.value) == message
 
     def test_params_must_be_a_variant(self, backend):
         for call in (lambda: encrypt("ascon128", KEY, NONCE, b"", b""),
@@ -509,24 +555,34 @@ def _iv_with(index: int, value: int) -> bytes:
     return bytes(iv)
 
 
-#: case -> (argument position, value, error, the text that names its reason)
-#: for a direct call of the kernel module
-BAD_KERNEL_ARGS = {
-    "params-str": (0, "p" * 8, TypeError, "params must be bytes"),
-    "key-str": (1, "k" * 16, TypeError, "key must be bytes"),
-    "key-bytearray": (1, bytearray(16), TypeError, "key must be bytes"),
-    "nonce-memoryview": (2, memoryview(bytes(16)), TypeError, "nonce must be bytes"),
-    "ad-str": (3, "ad", TypeError, "ad must be bytes"),
-    "data-bytearray": (4, bytearray(b"data"), TypeError, "data must be bytes"),
+#: The kernel module's arguments by direction, by the names its errors give them
+KERNEL_ARG_NAMES = {
+    "encrypt": ("params", "key", "nonce", "associated_data", "plaintext"),
+    "decrypt": ("params", "key", "nonce", "associated_data", "ciphertext", "tag"),
+}
+#: case -> (argument position, value, error, the text that names its reason,
+#: with {} for the argument's name) for a direct call of the kernel module.
+#: An error of None marks a value the module takes: a bytes-like kind that it
+#: reads as the bytes the argument holds.
+KERNEL_ARGS = {
+    # every refused type at every position; PyBytes_FromObject alone would take the list
+    **{f"{arg}-{kind}": (position, value, TypeError, "{} must be a bytes-like object, not " + name)
+       for position, arg in enumerate(("params", "key", "nonce", "ad", "data", "tag"))
+       for kind, name, value in (("str", "str", "s" * 16), ("list", "list", [0] * 16),
+                                 ("none", "NoneType", None))},
+    "key-bytearray": (1, bytearray, None, None),
+    "nonce-memoryview": (2, memoryview, None, None),
+    "data-bytearray": (4, bytearray, None, None),
+    "tag-bytearray": (5, bytearray, None, None),
     # a valid IV cut short or run on, so only the length is wrong
-    "params-7-bytes": (0, _IV[:7], ValueError, "params must be 8 bytes"),
-    "params-9-bytes": (0, _IV + bytes(1), ValueError, "params must be 8 bytes"),
-    "params-10-bytes": (0, _IV + bytes(2), ValueError, "params must be 8 bytes"),
-    "params-12-bytes": (0, _IV + bytes(4), ValueError, "params must be 8 bytes"),
-    "key-15-bytes": (1, bytes(15), ValueError, "key must be 16 bytes"),
-    "key-17-bytes": (1, bytes(17), ValueError, "key must be 16 bytes"),
-    "nonce-15-bytes": (2, bytes(15), ValueError, "nonce must be 16 bytes"),
-    "nonce-empty": (2, b"", ValueError, "nonce must be 16 bytes"),
+    "params-7-bytes": (0, _IV[:7], ValueError, "{} must be 8 bytes, got 7"),
+    "params-9-bytes": (0, _IV + bytes(1), ValueError, "{} must be 8 bytes, got 9"),
+    "params-10-bytes": (0, _IV + bytes(2), ValueError, "{} must be 8 bytes, got 10"),
+    "params-12-bytes": (0, _IV + bytes(4), ValueError, "{} must be 8 bytes, got 12"),
+    "key-15-bytes": (1, bytes(15), ValueError, "{} must be 16 bytes, got 15"),
+    "key-17-bytes": (1, bytes(17), ValueError, "{} must be 16 bytes, got 17"),
+    "nonce-15-bytes": (2, bytes(15), ValueError, "{} must be 16 bytes, got 15"),
+    "nonce-empty": (2, b"", ValueError, "{} must be 16 bytes, got 0"),
     # IV byte 1 is the rate in bits, byte 3 the data-phase rounds
     "rate-0": (0, _iv_with(1, 0), ValueError, "rate 64 or 128 bits"),
     "rate-8": (0, _iv_with(1, 8), ValueError, "rate 64 or 128 bits"),
@@ -534,18 +590,16 @@ BAD_KERNEL_ARGS = {
     "rounds-b-13": (0, _iv_with(3, 13), ValueError, "rounds_b 6, 8 or 12"),
     "rounds-b-255": (0, _iv_with(3, 255), ValueError, "rounds_b 6, 8 or 12"),
     # decrypt's sixth argument, the received tag
-    "tag-str": (5, "t" * 16, TypeError, "tag must be bytes"),
-    "tag-bytearray": (5, bytearray(16), TypeError, "tag must be bytes"),
-    "tag-15-bytes": (5, bytes(15), ValueError, "tag must be 16 bytes"),
-    "tag-17-bytes": (5, bytes(17), ValueError, "tag must be 16 bytes"),
+    "tag-15-bytes": (5, bytes(15), ValueError, "{} must be 16 bytes, got 15"),
+    "tag-17-bytes": (5, bytes(17), ValueError, "{} must be 16 bytes, got 17"),
 }
 #: (direction, case) for every case an entry point has an argument for: the
 #: tag cases for decrypt alone
 KERNEL_ARG_CASES = [
     pytest.param(direction, case, id=f"{case}-{direction}")
-    for case in sorted(BAD_KERNEL_ARGS)
+    for case in sorted(KERNEL_ARGS)
     for direction in ("encrypt", "decrypt")
-    if direction == "decrypt" or BAD_KERNEL_ARGS[case][0] < 5
+    if direction == "decrypt" or KERNEL_ARGS[case][0] < 5
 ]
 
 
@@ -624,6 +678,34 @@ class TestAcceleratedPath:
         # in C; a buffer shared between calls would hand one thread another's
         # output.  test_shared_state_mutant_is_caught is its negative control.
         assert _lost_round_trips(THREAD_TEST_PT) == 0
+
+    def test_bytearray_resized_by_another_thread_gives_one_of_its_contents(self):
+        # The binding copies a bytearray before it releases the GIL, so a
+        # resize in another thread cannot change what the kernel reads: each
+        # result is the encryption of the buffer before or after some resize.
+        import sys
+        import threading
+
+        contents = (THREAD_TEST_PT, THREAD_TEST_PT[::-1] + bytes(8))  # 4 KiB and 4 KiB + 8
+        expected = {encrypt(ASCON_128A, KEY, NONCE, b"ad", pt) for pt in contents}
+        buffer, stop = bytearray(contents[0]), threading.Event()
+
+        def resize():
+            while not stop.is_set():
+                for pt in contents:
+                    buffer[:] = pt
+
+        resizer = threading.Thread(target=resize)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        resizer.start()
+        try:
+            results = [encrypt(ASCON_128A, KEY, NONCE, b"ad", buffer) for _ in range(3000)]
+        finally:
+            stop.set()
+            resizer.join()
+            sys.setswitchinterval(interval)
+        assert set(results) == expected
 
     def test_shared_state_mutant_is_caught(self, monkeypatch, tmp_path, fresh_loader):
         import os
@@ -719,42 +801,63 @@ class TestAcceleratedPath:
 
     @pytest.mark.parametrize("direction, case", KERNEL_ARG_CASES)
     def test_kernel_module_checks_its_own_arguments(self, direction, case):
-        # Called directly, past aead's checks, the module must refuse what
-        # would make the kernel read or write outside its buffers.
-        position, value, error, reason = BAD_KERNEL_ARGS[case]
+        # Called directly, past aead, the module must refuse what would make
+        # the kernel read or write outside its buffers, with aead's own errors,
+        # and read any other bytes-like argument as the bytes it holds.
+        position, value, error, reason = KERNEL_ARGS[case]
         kernel = aead._get_accel()
-        args = [ASCON_128._kernel_params, KEY, NONCE, b"ad", bytes(40), bytes(16)]
-        if direction == "encrypt":
-            del args[5]
-        args[position] = value
-        with pytest.raises(error, match=reason) as info:
-            getattr(kernel, direction)(*args)
-        assert KEY.hex() not in str(info.value)
+        ct, tag = kernel.encrypt(ASCON_128._kernel_params, KEY, NONCE, b"ad", bytes(40))
+        args = [ASCON_128._kernel_params, KEY, NONCE, b"ad", bytes(40)]
+        if direction == "decrypt":
+            args[4:] = [ct, tag]
+        call = getattr(kernel, direction)
+        expected = call(*args)
+        if error is None:
+            args[position] = value(args[position])
+            assert call(*args) == expected
+        else:
+            args[position] = value
+            with pytest.raises(error) as info:
+                call(*args)
+            assert reason.format(KERNEL_ARG_NAMES[direction][position]) in str(info.value)
+            assert KEY.hex() not in str(info.value)
         with pytest.raises(TypeError, match="expected"):
-            getattr(kernel, direction)(*args[:-1])
+            call(*args[:-1])
         with pytest.raises(TypeError, match="expected"):
-            getattr(kernel, direction)(*args, b"")
+            call(*args, b"")
 
 
 def test_round_trips_leak_no_memory(backend):
     # One bytes object or tuple left unreleased per message would add 50k
     # allocated blocks on the kernel path (1.2k on the slower pure path), and
-    # one per forged tag, which makes the binding return None, 6k.
+    # one per forged tag, which makes the binding return None, 6k.  Two in
+    # three messages pass bytearray or memoryview arguments, which the binding
+    # copies; one copy left unreleased per such message would add 33k.  Every
+    # eighth message also makes two calls that are refused after the binding
+    # has copied the arguments before the fault: 6k more per copy kept.
     import gc
     import sys
 
     count = 25_000 if backend == "kernel" else 600
     messages = [bytes(range(n % 70)) for n in range(count)]
+    kinds = list(BYTES_LIKE.values())
 
     def run():
         for i, pt in enumerate(messages):
+            kind = kinds[i % len(kinds)]
             nonce = (i & 0xFF).to_bytes(16, "big")
-            ct, tag = encrypt(ASCON_128A, KEY, nonce, pt[:7], pt)
+            ct, tag = encrypt(ASCON_128A, kind(KEY), kind(nonce), kind(pt[:7]), kind(pt))
             if i % 8 == 0:
                 with pytest.raises(AuthenticationFailure):
-                    decrypt(ASCON_128A, KEY, nonce, pt[:7], ct, bytes(16))
+                    decrypt(ASCON_128A, KEY, nonce, pt[:7], kind(ct), bytes(16))
             else:
-                decrypt(ASCON_128A, KEY, nonce, pt[:7], ct, tag)
+                decrypt(ASCON_128A, KEY, kind(nonce), pt[:7], ct, kind(tag))
+            if i % 8 == 1:
+                copied = (bytearray(KEY), memoryview(nonce), bytearray(pt[:7]))
+                with pytest.raises(TypeError):
+                    encrypt(ASCON_128A, *copied, "not bytes")
+                with pytest.raises(ValueError):
+                    decrypt(ASCON_128A, *copied, bytearray(ct), bytearray(15))
 
     run()  # warm up the caches a first run may fill
     gc.collect()
@@ -912,6 +1015,50 @@ def test_kernel_entry_points_stay_inside_their_buffers(tmp_path):
         proc = subprocess.run([str(driver)], capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, (body, proc.stderr[-2000:])
         assert proc.stdout.strip() == f"{cases} cases passed"
+
+
+def test_binding_stays_inside_its_buffers_and_references(tmp_path):
+    # binding_driver.py calls both entry points of a module built under
+    # AddressSanitizer and UndefinedBehaviorSanitizer with every bytes-like
+    # kind and every refused value at every position.  The child allocates
+    # with malloc, so the sanitizer sees each bytes object's exact size.
+    import os
+    import shutil
+    import subprocess
+    import sys
+
+    from ascon_aead import _accel
+
+    compiler = shutil.which("cc")
+    if compiler is None:
+        pytest.skip("no C compiler on PATH")
+    flags = ["-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    if subprocess.run([compiler, *flags, "-o", str(tmp_path / "probe"), str(probe)],
+                      capture_output=True, timeout=120).returncode != 0:
+        pytest.skip("the sanitizer runtimes do not link here")
+    runtimes = [subprocess.run([compiler, f"-print-file-name={name}"], capture_output=True,
+                               text=True, timeout=60).stdout.strip()
+                for name in ("libasan.so", "libubsan.so")]
+    if not all(os.path.isabs(path) for path in runtimes):
+        pytest.skip("cc does not name the sanitizer runtimes' paths")
+    module = tmp_path / f"_kernel{_accel._EXT_SUFFIX}"
+    build = subprocess.run(
+        [compiler, *_accel._CFLAGS, *flags, f"-I{_accel._INCLUDE}", "-o", str(module),
+         str(_accel._SOURCE), str(_accel._BINDING)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert build.returncode == 0, build.stderr
+    src = str(Path(aead.__file__).parents[1])
+    env = {**os.environ, "LD_PRELOAD": " ".join(runtimes), "ASAN_OPTIONS": "detect_leaks=0",
+           "PYTHONMALLOC": "malloc",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, str(Path(__file__).with_name("binding_driver.py")),
+                           str(module)], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    # 2 variants x 3 lengths x (56 encrypt + 68 decrypt) argument values
+    assert proc.stdout.strip() == "744 cases passed"
 
 
 def _objdump(*options: str) -> str:
