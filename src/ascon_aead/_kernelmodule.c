@@ -6,11 +6,11 @@
  * kernel finds the tag wrong and has zeroed `out`.  `out` has the length of
  * `data`, and it and encrypt's tag are fresh `bytes` the kernel writes into.
  *
- * These checks are a kernel-path call's only ones.  A bytes-like argument
- * that is not exactly `bytes` is copied once.  The key, nonce and tag must be
- * 16 bytes, and `params` the 8-byte IV laid out in _accel.c, with a rate and
- * data rounds the kernel accepts; anything else raises aead._checked's error,
- * in its order, so no call can make the kernel read or write out of bounds.
+ * These checks are the only ones a call meets on aead's kernel path.  Other
+ * bytes-like arguments than `bytes` are copied once into new `bytes`; the key,
+ * nonce and tag must be 16 bytes, and `params` the 8-byte IV laid out in
+ * _accel.c, with a rate and data rounds the kernel accepts.  Anything else
+ * raises TypeError or ValueError, so no call makes the kernel overrun a buffer.
  * The checks branch on types and lengths only, which are public, and the
  * errors name no input bytes.
  *
@@ -39,50 +39,32 @@ int ascon_decrypt(const unsigned char *params, const unsigned char *key,
                   const unsigned char *in, size_t len, unsigned char *out,
                   const unsigned char *tag);
 
-/* 1 when the arguments are ones the kernel accepts, each in in[i]: args[i] if
- * that is bytes, else a copy flagged in *copies for the caller to release; 0
- * with aead._checked's exception set if not.
- */
-static int check_args(PyObject *const *args, Py_ssize_t nargs, int decrypting, PyObject **in,
-                      unsigned *copies)
+/* 1 when the `want` arguments are ones the kernel accepts, -1 to copy one; else 0, raising. */
+static int check_args(PyObject *const *args, Py_ssize_t nargs, int want)
 {
-    static const char *const names[ARGS] = {"params", "key", "nonce", "associated_data",
-                                            "plaintext", "tag"};
+    static const char *const names[ARGS] = {"params", "key", "nonce", "ad", "data", "tag"};
     static const Py_ssize_t sizes[ARGS] = {PARAMS_BYTES, KEY_BYTES, NONCE_BYTES, -1, -1, TAG_BYTES};
-    const int want = decrypting ? ARGS : ARGS - 1; /* encrypt takes no tag */
     const unsigned char *params;
-    PyObject *kind;
 
     if (nargs != want) {
         PyErr_Format(PyExc_TypeError, "expected %d arguments, got %zd", want, nargs);
         return 0;
     }
-    for (int i = 0; i < want; i++) { /* every type first, then the lengths */
-        in[i] = args[i];
-        if (PyBytes_CheckExact(in[i]))
-            continue;
-        /* tested first, as PyBytes_FromObject also takes a list of ints */
-        if (!PyObject_CheckBuffer(in[i]) || (in[i] = PyBytes_FromObject(in[i])) == NULL) {
-            if (PyErr_Occurred() && !PyErr_ExceptionMatches(PyExc_TypeError))
-                return 0; /* a released memoryview's ValueError, which memoryview() raises too */
-            PyErr_Clear();
-            kind = PyObject_GetAttrString((PyObject *)Py_TYPE(args[i]), "__name__");
-            if (kind != NULL)
-                PyErr_Format(PyExc_TypeError, "%s must be a bytes-like object, not %S",
-                             decrypting && i == 4 ? "ciphertext" : names[i], kind);
-            Py_XDECREF(kind);
-            return 0;
-        }
-        *copies |= 1u << i;
-    }
     for (int i = 0; i < want; i++) {
-        if (sizes[i] >= 0 && PyBytes_GET_SIZE(in[i]) != sizes[i]) {
+        if (!PyBytes_CheckExact(args[i])) {
+            if (PyObject_CheckBuffer(args[i])) /* before PyBytes_FromObject, which takes lists */
+                return -1;
+            PyErr_Format(PyExc_TypeError, "%s must be bytes-like, not %.100s", names[i],
+                         Py_TYPE(args[i])->tp_name);
+            return 0;
+        }
+        if (sizes[i] >= 0 && PyBytes_GET_SIZE(args[i]) != sizes[i]) {
             PyErr_Format(PyExc_ValueError, "%s must be %zd bytes, got %zd", names[i], sizes[i],
-                         PyBytes_GET_SIZE(in[i]));
+                         PyBytes_GET_SIZE(args[i]));
             return 0;
         }
     }
-    params = (const unsigned char *)PyBytes_AS_STRING(in[0]);
+    params = (const unsigned char *)PyBytes_AS_STRING(args[0]);
     if ((params[1] != 64 && params[1] != 128) ||
         (params[3] != 6 && params[3] != 8 && params[3] != 12)) {
         PyErr_SetString(PyExc_ValueError,
@@ -92,26 +74,40 @@ static int check_args(PyObject *const *args, Py_ssize_t nargs, int decrypting, P
     return 1;
 }
 
-#define ARG(i) ((const unsigned char *)PyBytes_AS_STRING(in[i]))
-#define LEN(i) ((size_t)PyBytes_GET_SIZE(in[i]))
+#define ARG(i) ((const unsigned char *)PyBytes_AS_STRING(args[i]))
+#define LEN(i) ((size_t)PyBytes_GET_SIZE(args[i]))
 
 /* encrypt's (ciphertext, tag), or decrypt's plaintext or None, from the
  * arguments; NULL with an exception set on bad arguments or no memory.
  */
 static PyObject *run(int decrypting, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *in[ARGS], *out = NULL, *tag = NULL, *result = NULL;
+    PyObject *out, *tag = NULL, *result, *copies[ARGS];
     PyThreadState *released = NULL;
-    unsigned copies = 0;
-    int failed = 0;
+    int failed = 0, checked = check_args(args, nargs, ARGS - !decrypting); /* encrypt: no tag */
+    Py_ssize_t n;
 
-    if (!check_args(args, nargs, decrypting, in, &copies))
-        goto done;
-    out = PyBytes_FromStringAndSize(NULL, PyBytes_GET_SIZE(in[4]));
+    if (checked < 0) { /* again on bytes copies of the other bytes-like ones, freed on every exit */
+        for (n = 0; n < nargs; n++) { /* check_args has found nargs right */
+            if (PyBytes_CheckExact(args[n]) || !PyObject_CheckBuffer(args[n]))
+                copies[n] = Py_NewRef(args[n]); /* bytes, or refused below */
+            else if ((copies[n] = PyBytes_FromObject(args[n])) == NULL)
+                break;
+        }
+        result = n == nargs ? run(decrypting, copies, nargs) : NULL;
+        while (n > 0)
+            Py_DECREF(copies[--n]);
+        return result;
+    }
+    if (!checked)
+        return NULL;
+    out = PyBytes_FromStringAndSize(NULL, PyBytes_GET_SIZE(args[4]));
     if (out == NULL)
-        goto done;
-    if (!decrypting && (tag = PyBytes_FromStringAndSize(NULL, TAG_BYTES)) == NULL)
-        goto done;
+        return NULL;
+    if (!decrypting && (tag = PyBytes_FromStringAndSize(NULL, TAG_BYTES)) == NULL) {
+        Py_DECREF(out);
+        return NULL;
+    }
     if (LEN(3) + LEN(4) >= GIL_MINSIZE)
         released = PyEval_SaveThread();
     if (decrypting)
@@ -123,14 +119,15 @@ static PyObject *run(int decrypting, PyObject *const *args, Py_ssize_t nargs)
                       (unsigned char *)PyBytes_AS_STRING(tag));
     if (released != NULL)
         PyEval_RestoreThread(released);
-    /* on a failed tag the kernel has zeroed `out` */
-    result = decrypting ? Py_NewRef(failed ? Py_None : out) : PyTuple_Pack(2, out, tag);
-done:
-    Py_XDECREF(out);
-    Py_XDECREF(tag);
-    for (int i = 0; copies != 0; i++, copies >>= 1)
-        if (copies & 1)
-            Py_DECREF(in[i]);
+    if (decrypting) {
+        if (!failed)
+            return out;
+        Py_DECREF(out); /* the kernel has zeroed it */
+        Py_RETURN_NONE;
+    }
+    result = PyTuple_Pack(2, out, tag);
+    Py_DECREF(out);
+    Py_DECREF(tag);
     return result;
 }
 

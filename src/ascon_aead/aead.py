@@ -17,10 +17,10 @@ it in one call, a compiled copy of these phases that takes the variant's
 IV as its only parameter; otherwise they compose the phases here.
 `backend_info` says which of the two runs.
 
-Both check each argument once, with the same errors: the binding on the
-kernel path, copying once an argument that is bytes-like but not `bytes`,
-and `_checked` on the pure path and for a `params` that is not a
-VariantParams.  The kernel verifies the tag and zeroes failed plaintext.
+Both check every argument.  On the kernel path a call meets one check, the
+binding's, which copies once a bytes-like argument that is not `bytes`; only
+when it refuses one does `_checked` run, to raise the error that names it.
+The kernel verifies the tag and zeroes failed plaintext.
 
 Nonces must never repeat under the same key: encryption is deterministic,
 and a repeated (key, nonce) pair forfeits confidentiality.  The library
@@ -132,7 +132,7 @@ def _checked(table, params, *args) -> list:
     converted = []
     for (name, _), value in zip(table, args):
         try:
-            converted.append(memoryview(value).tobytes())
+            converted.append(value if type(value) is bytes else memoryview(value).tobytes())
         except TypeError:
             kind = type(value).__name__
             raise TypeError(f"{name} must be a bytes-like object, not {kind}") from None
@@ -306,8 +306,8 @@ def encrypt(
     if accel is not None:
         try:
             return accel.encrypt(params._kernel_params, key, nonce, associated_data, plaintext)
-        except AttributeError:  # params is not a VariantParams, which _checked names
-            pass
+        except (AttributeError, TypeError, ValueError):  # AttributeError: not a VariantParams
+            pass  # _checked raises the error that names the argument at fault
     key, nonce, associated_data, plaintext = _checked(
         _ENCRYPT_ARGS, params, key, nonce, associated_data, plaintext
     )
@@ -338,12 +338,11 @@ def decrypt(
             plaintext = accel.decrypt(
                 params._kernel_params, key, nonce, associated_data, ciphertext, tag
             )
-        except AttributeError:  # params is not a VariantParams, which _checked names
-            pass
-        else:
             if plaintext is None:
                 raise AuthenticationFailure("authentication failed")
             return plaintext
+        except (AttributeError, TypeError, ValueError):  # AttributeError: not a VariantParams
+            pass  # _checked raises the error that names the argument at fault
     key, nonce, associated_data, ciphertext, tag = _checked(
         _DECRYPT_ARGS, params, key, nonce, associated_data, ciphertext, tag
     )

@@ -431,37 +431,26 @@ class TestInputContract:
         max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     def test_any_bytes_like_input_gives_the_bytes_result(self, params, backend, data):
+        # and a mix with wrongly typed or sized arguments the error that the
+        # pure path raises for it, which names the first fault
         key, nonce, ad, pt = data.draw(keys), data.draw(keys), data.draw(small), data.draw(small)
         ct, tag = encrypt(params, key, nonce, ad, pt)
-        kinds = [BYTES_LIKE[data.draw(st.sampled_from(sorted(BYTES_LIKE)))] for _ in range(6)]
-        wrapped = [kind(value) for kind, value in zip(kinds, (key, nonce, ad, pt, ct, tag))]
-        assert encrypt(params, *wrapped[:4]) == (ct, tag)
-        back = decrypt(params, *wrapped[:3], *wrapped[4:])
-        assert type(back) is bytes and back == pt
-
-    @given(data=st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_kernel_and_pure_paths_agree_on_every_input(self, data):
-        # The binding is the kernel path's only check, and _checked the pure
-        # path's: for any mix of valid, wrongly typed and wrongly sized
-        # arguments both must return the same result or raise the same error.
-        if not accel_available():
-            pytest.skip("the compiled C kernel could not be built or loaded")
-        params = data.draw(st.sampled_from([ASCON_128, ASCON_128A]))
-        key, nonce, ad, pt = data.draw(keys), data.draw(keys), data.draw(small), data.draw(small)
-        ct, tag = encrypt(params, key, nonce, ad, pt)
-        direction = data.draw(st.sampled_from(["encrypt", "decrypt"]))
-        values = [key, nonce, ad, pt] if direction == "encrypt" else [key, nonce, ad, ct, tag]
-        args = []
-        for position, value in enumerate(values):
-            sized = position in (0, 1, 4)  # the key, the nonce, the tag
-            kinds = {**VALID_KINDS, **WRONG_TYPES, **(WRONG_LENGTHS if sized else {})}
-            args.append(kinds[data.draw(st.sampled_from(sorted(kinds)))](value))
-        call = getattr(aead, direction)
-        kernel = outcome(lambda: call(params, *args))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(aead, "_accel_backend", False)
-            assert outcome(lambda: call(params, *args)) == kernel
+        values = (key, nonce, ad, pt, ct, tag)
+        wrapped = [VALID_KINDS[data.draw(st.sampled_from(sorted(VALID_KINDS)))](value)
+                   for value in values]
+        faults = data.draw(st.lists(st.integers(0, 5), max_size=2))
+        for position in faults:
+            sized = position in (0, 1, 5)  # the key, the nonce, the tag
+            wrong = {**WRONG_TYPES, **(WRONG_LENGTHS if sized else {})}
+            wrapped[position] = wrong[data.draw(st.sampled_from(sorted(wrong)))](values[position])
+        for call, args in ((encrypt, wrapped[:4]), (decrypt, wrapped[:3] + wrapped[4:])):
+            got = outcome(lambda: call(params, *args))
+            if not faults:
+                assert got == ((ct, tag) if call is encrypt else pt)
+                assert all(type(part) is bytes for part in (got if call is encrypt else [got]))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(aead, "_accel_backend", False)
+                assert outcome(lambda: call(params, *args)) == got
 
     def test_plain_bytes_make_one_binding_call_each(self, backend, binding_calls, monkeypatch):
         # and so does every other bytes-like kind; on the kernel path no check
@@ -496,13 +485,13 @@ class TestInputContract:
             call()
         assert name in str(info.value)
         assert secret not in str(info.value)
-        # on the kernel path the caller gets the binding's own error
-        assert binding_calls == ([info.value] if backend == "kernel" else [])
+        assert all(link is not call for link in _chain(info.value) for call in binding_calls)
+        assert len(binding_calls) == (backend == "kernel")
 
     @pytest.mark.parametrize("short", ["key", "nonce", "tag"])
     def test_short_inputs_never_reach_the_kernel(self, backend, binding_calls, short):
         # On the kernel path the binding refuses a short input before the
-        # kernel runs, with aead's own error, which the caller gets as it is.
+        # kernel runs; the caller then sees aead's own error, not the binding's.
         inputs = {"key": KEY, "nonce": NONCE, "tag": bytes(16)}
         inputs[short] = bytes(15)
         errors = []
@@ -515,8 +504,10 @@ class TestInputContract:
             errors.append(info.value)
         for error in errors:
             assert str(error) == f"{short} must be 16 bytes, got 15"
-        # each call went into the binding once, which raised what the caller got
-        assert binding_calls == (errors if backend == "kernel" else [])
+            assert all(link is not call for link in _chain(error) for call in binding_calls)
+        # each call went into the binding once, which raised and returned nothing
+        assert len(binding_calls) == (len(errors) if backend == "kernel" else 0)
+        assert all(isinstance(call, ValueError) for call in binding_calls)
 
     @pytest.mark.parametrize("faults, message", [
         pytest.param({"key": bytes(15), "nonce": "n" * 16},
@@ -528,6 +519,10 @@ class TestInputContract:
                      "key must be 16 bytes, got 15", id="short-key-long-nonce"),
         pytest.param({"nonce": bytes(15), "tag": bytes(17)},
                      "nonce must be 16 bytes, got 15", id="short-nonce-long-tag"),
+        # the binding copies the bytearray, and must still refuse the list
+        pytest.param({"key": bytearray(KEY), "associated_data": [0] * 16},
+                     "associated_data must be a bytes-like object, not list",
+                     id="bytearray-key-list-ad"),
     ])
     def test_every_type_is_checked_before_any_length(self, backend, faults, message):
         args = {"key": KEY, "nonce": NONCE, "associated_data": b"", "ciphertext": b"",
@@ -555,18 +550,12 @@ def _iv_with(index: int, value: int) -> bytes:
     return bytes(iv)
 
 
-#: The kernel module's arguments by direction, by the names its errors give them
-KERNEL_ARG_NAMES = {
-    "encrypt": ("params", "key", "nonce", "associated_data", "plaintext"),
-    "decrypt": ("params", "key", "nonce", "associated_data", "ciphertext", "tag"),
-}
-#: case -> (argument position, value, error, the text that names its reason,
-#: with {} for the argument's name) for a direct call of the kernel module.
-#: An error of None marks a value the module takes: a bytes-like kind that it
-#: reads as the bytes the argument holds.
+#: case -> (argument position, value, error, the text that names its reason)
+#: for a direct call of the kernel module.  An error of None marks a value the
+#: module takes: a bytes-like kind that it reads as the bytes the argument holds.
 KERNEL_ARGS = {
     # every refused type at every position; PyBytes_FromObject alone would take the list
-    **{f"{arg}-{kind}": (position, value, TypeError, "{} must be a bytes-like object, not " + name)
+    **{f"{arg}-{kind}": (position, value, TypeError, f"{arg} must be bytes-like, not {name}")
        for position, arg in enumerate(("params", "key", "nonce", "ad", "data", "tag"))
        for kind, name, value in (("str", "str", "s" * 16), ("list", "list", [0] * 16),
                                  ("none", "NoneType", None))},
@@ -575,14 +564,14 @@ KERNEL_ARGS = {
     "data-bytearray": (4, bytearray, None, None),
     "tag-bytearray": (5, bytearray, None, None),
     # a valid IV cut short or run on, so only the length is wrong
-    "params-7-bytes": (0, _IV[:7], ValueError, "{} must be 8 bytes, got 7"),
-    "params-9-bytes": (0, _IV + bytes(1), ValueError, "{} must be 8 bytes, got 9"),
-    "params-10-bytes": (0, _IV + bytes(2), ValueError, "{} must be 8 bytes, got 10"),
-    "params-12-bytes": (0, _IV + bytes(4), ValueError, "{} must be 8 bytes, got 12"),
-    "key-15-bytes": (1, bytes(15), ValueError, "{} must be 16 bytes, got 15"),
-    "key-17-bytes": (1, bytes(17), ValueError, "{} must be 16 bytes, got 17"),
-    "nonce-15-bytes": (2, bytes(15), ValueError, "{} must be 16 bytes, got 15"),
-    "nonce-empty": (2, b"", ValueError, "{} must be 16 bytes, got 0"),
+    "params-7-bytes": (0, _IV[:7], ValueError, "params must be 8 bytes, got 7"),
+    "params-9-bytes": (0, _IV + bytes(1), ValueError, "params must be 8 bytes, got 9"),
+    "params-10-bytes": (0, _IV + bytes(2), ValueError, "params must be 8 bytes, got 10"),
+    "params-12-bytes": (0, _IV + bytes(4), ValueError, "params must be 8 bytes, got 12"),
+    "key-15-bytes": (1, bytes(15), ValueError, "key must be 16 bytes, got 15"),
+    "key-17-bytes": (1, bytes(17), ValueError, "key must be 16 bytes, got 17"),
+    "nonce-15-bytes": (2, bytes(15), ValueError, "nonce must be 16 bytes, got 15"),
+    "nonce-empty": (2, b"", ValueError, "nonce must be 16 bytes, got 0"),
     # IV byte 1 is the rate in bits, byte 3 the data-phase rounds
     "rate-0": (0, _iv_with(1, 0), ValueError, "rate 64 or 128 bits"),
     "rate-8": (0, _iv_with(1, 8), ValueError, "rate 64 or 128 bits"),
@@ -590,8 +579,8 @@ KERNEL_ARGS = {
     "rounds-b-13": (0, _iv_with(3, 13), ValueError, "rounds_b 6, 8 or 12"),
     "rounds-b-255": (0, _iv_with(3, 255), ValueError, "rounds_b 6, 8 or 12"),
     # decrypt's sixth argument, the received tag
-    "tag-15-bytes": (5, bytes(15), ValueError, "{} must be 16 bytes, got 15"),
-    "tag-17-bytes": (5, bytes(17), ValueError, "{} must be 16 bytes, got 17"),
+    "tag-15-bytes": (5, bytes(15), ValueError, "tag must be 16 bytes, got 15"),
+    "tag-17-bytes": (5, bytes(17), ValueError, "tag must be 16 bytes, got 17"),
 }
 #: (direction, case) for every case an entry point has an argument for: the
 #: tag cases for decrypt alone
@@ -801,9 +790,9 @@ class TestAcceleratedPath:
 
     @pytest.mark.parametrize("direction, case", KERNEL_ARG_CASES)
     def test_kernel_module_checks_its_own_arguments(self, direction, case):
-        # Called directly, past aead, the module must refuse what would make
-        # the kernel read or write outside its buffers, with aead's own errors,
-        # and read any other bytes-like argument as the bytes it holds.
+        # Called directly, past aead's checks, the module must refuse what
+        # would make the kernel read or write outside its buffers, and read
+        # any other bytes-like argument as the bytes it holds.
         position, value, error, reason = KERNEL_ARGS[case]
         kernel = aead._get_accel()
         ct, tag = kernel.encrypt(ASCON_128._kernel_params, KEY, NONCE, b"ad", bytes(40))
@@ -819,7 +808,7 @@ class TestAcceleratedPath:
             args[position] = value
             with pytest.raises(error) as info:
                 call(*args)
-            assert reason.format(KERNEL_ARG_NAMES[direction][position]) in str(info.value)
+            assert reason in str(info.value)
             assert KEY.hex() not in str(info.value)
         with pytest.raises(TypeError, match="expected"):
             call(*args[:-1])
