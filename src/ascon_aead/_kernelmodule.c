@@ -82,21 +82,25 @@ static int check_args(PyObject *const *args, Py_ssize_t nargs, int want)
  */
 static PyObject *run(int decrypting, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *out, *tag = NULL, *result, *copies[ARGS];
+    PyObject *out, *tag = NULL, *result, *as_bytes[ARGS];
     PyThreadState *released = NULL;
     int failed = 0, checked = check_args(args, nargs, ARGS - !decrypting); /* encrypt: no tag */
     Py_ssize_t n;
+    unsigned copies = 0;
 
-    if (checked < 0) { /* again on bytes copies of the other bytes-like ones, freed on every exit */
+    if (checked < 0) { /* again, with bytes copies of the other bytes-like, freed on every exit */
         for (n = 0; n < nargs; n++) { /* check_args has found nargs right */
+            as_bytes[n] = args[n];
             if (PyBytes_CheckExact(args[n]) || !PyObject_CheckBuffer(args[n]))
-                copies[n] = Py_NewRef(args[n]); /* bytes, or refused below */
-            else if ((copies[n] = PyBytes_FromObject(args[n])) == NULL)
+                continue; /* bytes, or refused below */
+            if ((as_bytes[n] = PyBytes_FromObject(args[n])) == NULL)
                 break;
+            copies |= 1u << n;
         }
-        result = n == nargs ? run(decrypting, copies, nargs) : NULL;
-        while (n > 0)
-            Py_DECREF(copies[--n]);
+        result = n == nargs ? run(decrypting, as_bytes, nargs) : NULL;
+        for (n = 0; copies != 0; n++, copies >>= 1)
+            if (copies & 1)
+                Py_DECREF(as_bytes[n]);
         return result;
     }
     if (!checked)
