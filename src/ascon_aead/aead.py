@@ -347,7 +347,6 @@ def decrypt(
         _DECRYPT_ARGS, params, key, nonce, associated_data, ciphertext, tag
     )
     import hmac  # only the pure path compares tags in Python
-
     state = initialize(params, key, nonce)
     state = process_associated_data(state, params, associated_data)
     state, plaintext = decrypt_data(state, params, ciphertext)
