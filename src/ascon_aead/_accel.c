@@ -41,7 +41,10 @@
  * `flatten` inlines aead_body, duplex, permute, the round and the word
  * helpers into each body, twice over, once per direction; without it they
  * would stay baseline functions that both bodies call, with the state
- * passed through memory.
+ * passed through memory.  `aligned(64)` starts both bodies on a cache line,
+ * whatever the linker puts ahead of them, such as the binding's PLT with one
+ * 16-byte entry per C-API import: a 32-byte shift of both bodies slowed
+ * 16 B messages ~2% (AMD EPYC, gcc 12).
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -50,15 +53,15 @@ enum { ABSORB = 0, ENCRYPT = 1, DECRYPT = 2 };
 
 /* The dispatch needs ifunc-based target_clones and the x86-64-v3 level:
  * x86-64 ELF with glibc, and gcc 12 or later.  Any other toolchain or
- * platform builds the one baseline body, flattened where the compiler knows
- * the attribute, as does defining ASCON_NO_TARGET_CLONES, which only the
- * tests do, to run that body on a CPU where the loader would pick the other.
+ * platform builds the one baseline body, flattened and aligned where the
+ * compiler knows the attributes, as does defining ASCON_NO_TARGET_CLONES,
+ * which only the tests do, to run that body where the loader picks the other.
  */
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && !defined(__clang__) && \
     defined(__GNUC__) && __GNUC__ >= 12 && !defined(ASCON_NO_TARGET_CLONES)
-#define TWO_BODIES __attribute__((flatten, target_clones("arch=x86-64-v3", "default")))
+#define TWO_BODIES __attribute__((flatten, aligned(64), target_clones("arch=x86-64-v3", "default")))
 #elif defined(__GNUC__)
-#define TWO_BODIES __attribute__((flatten))
+#define TWO_BODIES __attribute__((flatten, aligned(64)))
 #else
 #define TWO_BODIES
 #endif

@@ -12,9 +12,6 @@
  * _accel.c, with a rate and data rounds the kernel accepts.  Anything else
  * raises TypeError or ValueError, so no call makes the kernel overrun a buffer.
  * The checks branch on public types and lengths only, and name no input bytes.
- * It imports no C-API function it can do without (HAS_BUFFER is
- * PyObject_CheckBuffer inline): each adds a 16-byte PLT entry ahead of the
- * kernel, and a 32-byte shift slowed 16 B messages ~2% (AMD EPYC, gcc 12).
  *
  * The GIL is released while the kernel runs only when `ad` and `data` come to
  * GIL_MINSIZE bytes or more, as hashlib does for its HASHLIB_GIL_MINSIZE.
@@ -41,8 +38,6 @@ int ascon_decrypt(const unsigned char *params, const unsigned char *key,
                   const unsigned char *in, size_t len, unsigned char *out,
                   const unsigned char *tag);
 
-#define HAS_BUFFER(o) (Py_TYPE(o)->tp_as_buffer && Py_TYPE(o)->tp_as_buffer->bf_getbuffer)
-
 /* 1 when the `want` arguments are ones the kernel accepts, -1 to copy one; else 0, raising. */
 static int check_args(PyObject *const *args, Py_ssize_t nargs, int want)
 {
@@ -56,7 +51,7 @@ static int check_args(PyObject *const *args, Py_ssize_t nargs, int want)
     }
     for (int i = 0; i < want; i++) {
         if (!PyBytes_CheckExact(args[i])) {
-            if (HAS_BUFFER(args[i])) /* tested first, as PyBytes_FromObject takes lists too */
+            if (PyObject_CheckBuffer(args[i])) /* first, as PyBytes_FromObject takes lists too */
                 return -1;
             PyErr_Format(PyExc_TypeError, "%s must be bytes-like, not %.100s", names[i],
                          Py_TYPE(args[i])->tp_name);
@@ -71,8 +66,8 @@ static int check_args(PyObject *const *args, Py_ssize_t nargs, int want)
     params = (const unsigned char *)PyBytes_AS_STRING(args[0]);
     if ((params[1] != 64 && params[1] != 128) ||
         (params[3] != 6 && params[3] != 8 && params[3] != 12)) {
-        PyErr_Format(PyExc_ValueError,
-                     "params must be an IV with rate 64 or 128 bits and rounds_b 6, 8 or 12");
+        PyErr_SetString(PyExc_ValueError,
+                        "params must be an IV with rate 64 or 128 bits and rounds_b 6, 8 or 12");
         return 0;
     }
     return 1;
@@ -94,7 +89,7 @@ static PyObject *run(int decrypting, PyObject *const *args, Py_ssize_t nargs)
     if (checked < 0) { /* again, with bytes copies of the other bytes-like, freed on every exit */
         for (n = 0; n < nargs; n++) { /* check_args has found nargs right */
             as_bytes[n] = args[n]; /* bytes, or refused below, unless copied here */
-            if (!PyBytes_CheckExact(args[n]) && HAS_BUFFER(args[n]) &&
+            if (!PyBytes_CheckExact(args[n]) && PyObject_CheckBuffer(args[n]) &&
                 (as_bytes[n] = PyBytes_FromObject(args[n])) == NULL)
                 break;
         }

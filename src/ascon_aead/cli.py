@@ -314,6 +314,8 @@ def cmd_trace(args) -> int:
         blob = _decode_flag("--state", args.state, 40)
         state = State.from_bytes(blob)
     elif args.key is not None and args.nonce is not None:
+        if args.rounds != aead.ROUNDS_A:  # initialization always runs a = 12 rounds
+            raise UsageError(f"--rounds must be {aead.ROUNDS_A} with --key, got {args.rounds}")
         if not args.unsafe_trace:
             raise UsageError(
                 "tracing key-derived state prints secret-dependent words;"

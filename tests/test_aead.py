@@ -978,25 +978,34 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
             assert proc.returncode == 0, (body, proc.stderr)
 
 
-def test_kernel_entry_points_stay_inside_their_buffers(tmp_path):
-    # The KAT gate cannot see a write one byte past the output or the tag,
-    # so kernel_driver.c runs every block edge on exact-size heap buffers
-    # under AddressSanitizer and UndefinedBehaviorSanitizer.
+def _sanitizer_flags(tmp_path) -> tuple[str, list[str]]:
+    """cc and its flags for AddressSanitizer and UBSan; skips where they do not link."""
     import shutil
     import subprocess
-    from pathlib import Path
-
-    from ascon_aead import _accel
 
     compiler = shutil.which("cc")
     if compiler is None:
         pytest.skip("no C compiler on PATH")
-    flags = ["-std=c99", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+    flags = ["-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
     probe = tmp_path / "probe.c"
     probe.write_text("int main(void) { return 0; }\n")
     if subprocess.run([compiler, *flags, "-o", str(tmp_path / "probe"), str(probe)],
                       capture_output=True, timeout=120).returncode != 0:
         pytest.skip("the sanitizer runtimes do not link here")
+    return compiler, flags
+
+
+def test_kernel_entry_points_stay_inside_their_buffers(tmp_path):
+    # The KAT gate cannot see a write one byte past the output or the tag,
+    # so kernel_driver.c runs every block edge on exact-size heap buffers
+    # under AddressSanitizer and UndefinedBehaviorSanitizer.
+    import subprocess
+    from pathlib import Path
+
+    from ascon_aead import _accel
+
+    compiler, sanitize = _sanitizer_flags(tmp_path)
+    flags = ["-std=c99", *sanitize]
     driver = tmp_path / "driver"
     cases = sum((3 * rate + 2) ** 2 for rate in (8, 16))  # lengths 0 to 3 blocks + 1, squared
     # the body the loader picks on this CPU, then the baseline body
@@ -1018,21 +1027,12 @@ def test_binding_stays_inside_its_buffers_and_references(tmp_path):
     # kind and every refused value at every position.  The child allocates
     # with malloc, so the sanitizer sees each bytes object's exact size.
     import os
-    import shutil
     import subprocess
     import sys
 
     from ascon_aead import _accel
 
-    compiler = shutil.which("cc")
-    if compiler is None:
-        pytest.skip("no C compiler on PATH")
-    flags = ["-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
-    probe = tmp_path / "probe.c"
-    probe.write_text("int main(void) { return 0; }\n")
-    if subprocess.run([compiler, *flags, "-o", str(tmp_path / "probe"), str(probe)],
-                      capture_output=True, timeout=120).returncode != 0:
-        pytest.skip("the sanitizer runtimes do not link here")
+    compiler, flags = _sanitizer_flags(tmp_path)
     runtimes = [subprocess.run([compiler, f"-print-file-name={name}"], capture_output=True,
                                text=True, timeout=60).stdout.strip()
                 for name in ("libasan.so", "libubsan.so")]
@@ -1093,6 +1093,19 @@ def test_module_exports_only_its_init_and_calls_the_kernel_directly():
     for name in ("ascon_encrypt", "ascon_decrypt"):
         assert re.search(rf"call\s+[0-9a-f]+ <{name}>", listing), name
     assert not re.search(r"<ascon_\w*@plt>", listing)
+
+
+def test_both_bodies_start_on_a_64_byte_boundary():
+    # aligned(64) in TWO_BODIES: the binding's PLT grows by 16 bytes per
+    # C-API import and sits ahead of the kernel, and without the alignment
+    # each import moved both bodies within their cache lines.
+    import re
+
+    starts = {name: int(address, 16) for address, name in
+              re.findall(r"^([0-9a-f]+) .*\s(ascon_aead\.\S+)$", _objdump("-t"), re.M)}
+    bodies = ("ascon_aead.default", "ascon_aead.arch_x86_64_v3")
+    assert set(bodies) <= starts.keys()
+    assert {name: starts[name] % 64 for name in bodies} == dict.fromkeys(bodies, 0)
 
 
 def test_v3_body_uses_andn_and_rorx_and_inlines_every_call():

@@ -346,6 +346,17 @@ class TestTrace:
         assert rc == 0
         assert capsys.readouterr().out.splitlines() == expected_trace(start, rounds, verbose)[0]
 
+    @pytest.mark.parametrize("rounds", [6, 8])
+    def test_key_nonce_trace_refuses_reduced_rounds(self, capsys, rounds):
+        # initialization always runs a = 12 rounds, so a shorter key trace
+        # would end at a "post-initialization" state aead.initialize never gives
+        rc = run_cli("trace", "--key", KEY_HEX, "--nonce", NONCE_HEX, "--unsafe-trace",
+                     "--rounds", str(rounds))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--rounds" in captured.err
+
     def test_every_key_nonce_line_follows_the_spec_layers(self, capsys):
         k1, k2, n1, n2 = (int(text[i : i + 16], 16)
                           for text in (KEY_HEX, NONCE_HEX) for i in (0, 16))
