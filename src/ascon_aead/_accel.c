@@ -56,12 +56,14 @@ enum { ABSORB = 0, ENCRYPT = 1, DECRYPT = 2 };
  * platform builds the one baseline body, flattened and aligned where the
  * compiler knows the attributes, as does defining ASCON_NO_TARGET_CLONES,
  * which only the tests do, to run that body where the loader picks the other.
+ * `noinline` keeps that body a function of its own, so the alignment holds:
+ * inlined into both entry points, it would start wherever they do.
  */
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && !defined(__clang__) && \
     defined(__GNUC__) && __GNUC__ >= 12 && !defined(ASCON_NO_TARGET_CLONES)
 #define TWO_BODIES __attribute__((flatten, aligned(64), target_clones("arch=x86-64-v3", "default")))
 #elif defined(__GNUC__)
-#define TWO_BODIES __attribute__((flatten, aligned(64)))
+#define TWO_BODIES __attribute__((flatten, noinline, aligned(64)))
 #else
 #define TWO_BODIES
 #endif

@@ -9,17 +9,15 @@ words, and is pinned to the reference path bit-for-bit by the test suite.
 Like the reference path it never branches on or indexes by secret values.
 
 `_accel.c` is plain C.  `_kernelmodule.c` is its CPython binding, the
-module `ascon_aead._kernel`: a METH_FASTCALL function per direction, over
-one argument table.  It is a kernel-path call's only check, and copies once
-a bytes-like argument that is not exactly `bytes`; aead names an argument
-it refuses.  It writes the output, and encrypt's tag, straight into new
-`bytes` objects, and releases the GIL only for messages whose AD and data
-come to 2 KiB or more, as hashlib does (GIL_MINSIZE in `_kernelmodule.c`
-says why).  decrypt takes the received tag: the kernel compares it in
-constant time and, when it fails, zeroes the plaintext, and decrypt returns
-None.  Its only parameter is the variant's 8-byte IV, which VariantParams
-derives once (`_kernel_params`); the kernel reads the rate and the
-data-phase rounds from it, as laid out in `_accel.c`.
+module `ascon_aead._kernel`, with one function per direction; its header
+says what it checks and in which order, how it takes arguments, and when
+it releases the GIL.  Its checks are a kernel-path call's only ones; aead
+names an argument it refuses.  decrypt takes the received tag: the kernel
+compares it in constant time and, when it fails, zeroes the plaintext, and
+decrypt returns None.  The kernel's only parameter is the variant's
+8-byte IV, which VariantParams derives once (`_kernel_params`); the kernel
+reads the rate and the data-phase rounds from it, as laid out in
+`_accel.c`.
 
 The one source gives two bodies of the kernel where the toolchain can make
 them (x86-64 ELF with glibc, and gcc 12 or later): one for baseline x86-64

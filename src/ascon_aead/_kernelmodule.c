@@ -6,12 +6,15 @@
  * kernel finds the tag wrong and has zeroed `out`.  `out` has the length of
  * `data`, and it and encrypt's tag are fresh `bytes` the kernel writes into.
  *
- * These checks are the only ones a call meets on aead's kernel path.  Other
- * bytes-like arguments than `bytes` are copied once into new `bytes`; the key,
- * nonce and tag must be 16 bytes, and `params` the 8-byte IV laid out in
- * _accel.c, with a rate and data rounds the kernel accepts.  Anything else
- * raises TypeError or ValueError, so no call makes the kernel overrun a buffer.
- * The checks branch on public types and lengths only, and name no input bytes.
+ * run's checks are the only ones a call meets on aead's kernel path, in one
+ * pass each, in the order aead._checked keeps: every argument's type, then
+ * every length, then the IV.  The first pass takes exact `bytes` as they are
+ * and copies any other bytes-like argument once into new `bytes`, refusing
+ * the rest; then the key, nonce and tag must be 16 bytes and `params` 8; last,
+ * `params` must be the IV laid out in _accel.c, with a rate and data rounds
+ * the kernel accepts.  Each fault raises TypeError or ValueError, so no call
+ * makes the kernel overrun a buffer.  The checks branch on public types and
+ * lengths only, and name no input bytes.
  *
  * The GIL is released while the kernel runs only when `ad` and `data` come to
  * GIL_MINSIZE bytes or more, as hashlib does for its HASHLIB_GIL_MINSIZE.
@@ -38,76 +41,52 @@ int ascon_decrypt(const unsigned char *params, const unsigned char *key,
                   const unsigned char *in, size_t len, unsigned char *out,
                   const unsigned char *tag);
 
-/* 1 when the `want` arguments are ones the kernel accepts, -1 to copy one; else 0, raising. */
-static int check_args(PyObject *const *args, Py_ssize_t nargs, int want)
-{
-    static const char *const names[ARGS] = {"params", "key", "nonce", "ad", "data", "tag"};
-    static const Py_ssize_t sizes[ARGS] = {PARAMS_BYTES, KEY_BYTES, NONCE_BYTES, -1, -1, TAG_BYTES};
-    const unsigned char *params;
-
-    if (nargs != want) {
-        PyErr_Format(PyExc_TypeError, "expected %d arguments, got %zd", want, nargs);
-        return 0;
-    }
-    for (int i = 0; i < want; i++) {
-        if (!PyBytes_CheckExact(args[i])) {
-            if (PyObject_CheckBuffer(args[i])) /* first, as PyBytes_FromObject takes lists too */
-                return -1;
-            PyErr_Format(PyExc_TypeError, "%s must be bytes-like, not %.100s", names[i],
-                         Py_TYPE(args[i])->tp_name);
-            return 0;
-        }
-        if (sizes[i] >= 0 && PyBytes_GET_SIZE(args[i]) != sizes[i]) {
-            PyErr_Format(PyExc_ValueError, "%s must be %zd bytes, got %zd", names[i], sizes[i],
-                         PyBytes_GET_SIZE(args[i]));
-            return 0;
-        }
-    }
-    params = (const unsigned char *)PyBytes_AS_STRING(args[0]);
-    if ((params[1] != 64 && params[1] != 128) ||
-        (params[3] != 6 && params[3] != 8 && params[3] != 12)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "params must be an IV with rate 64 or 128 bits and rounds_b 6, 8 or 12");
-        return 0;
-    }
-    return 1;
-}
-
 #define ARG(i) ((const unsigned char *)PyBytes_AS_STRING(args[i]))
 #define LEN(i) ((size_t)PyBytes_GET_SIZE(args[i]))
 
 /* encrypt's (ciphertext, tag), or decrypt's plaintext or None, from the
  * arguments; NULL with an exception set on bad arguments or no memory.
  */
-static PyObject *run(int decrypting, PyObject *const *args, Py_ssize_t nargs)
+static PyObject *run(int decrypting, PyObject *const *given, Py_ssize_t nargs)
 {
-    PyObject *out, *tag = NULL, *result, *as_bytes[ARGS];
+    static const char *const names[ARGS] = {"params", "key", "nonce", "ad", "data", "tag"};
+    static const Py_ssize_t sizes[ARGS] = {PARAMS_BYTES, KEY_BYTES, NONCE_BYTES, -1, -1, TAG_BYTES};
+    PyObject *args[ARGS], *out = NULL, *tag = NULL, *result = NULL;
     PyThreadState *released = NULL;
-    int failed = 0, checked = check_args(args, nargs, ARGS - !decrypting); /* encrypt: no tag */
-    Py_ssize_t n;
+    int i, copied = 0, failed = 0, want = ARGS - !decrypting; /* encrypt: no tag */
 
-    if (checked < 0) { /* again, with bytes copies of the other bytes-like, freed on every exit */
-        for (n = 0; n < nargs; n++) { /* check_args has found nargs right */
-            as_bytes[n] = args[n]; /* bytes, or refused below, unless copied here */
-            if (!PyBytes_CheckExact(args[n]) && PyObject_CheckBuffer(args[n]) &&
-                (as_bytes[n] = PyBytes_FromObject(args[n])) == NULL)
-                break;
+    if (nargs != want) {
+        PyErr_Format(PyExc_TypeError, "expected %d arguments, got %zd", want, nargs);
+        return NULL;
+    }
+    for (i = 0; i < want; i++) {
+        args[i] = given[i];
+        if (PyBytes_CheckExact(args[i]))
+            continue;
+        if (!PyObject_CheckBuffer(given[i])) { /* first, as PyBytes_FromObject takes lists too */
+            PyErr_Format(PyExc_TypeError, "%s must be bytes-like, not %.100s", names[i],
+                         Py_TYPE(given[i])->tp_name);
+            goto done;
         }
-        result = n == nargs ? run(decrypting, as_bytes, nargs) : NULL;
-        while (n-- > 0)
-            if (as_bytes[n] != args[n])
-                Py_DECREF(as_bytes[n]);
-        return result;
+        if ((args[i] = PyBytes_FromObject(given[i])) == NULL)
+            goto done;
+        copied = i + 1; /* args[0 .. copied-1] hold every copy, which done releases */
     }
-    if (!checked)
-        return NULL;
+    for (i = 0; i < want; i++)
+        if (sizes[i] >= 0 && PyBytes_GET_SIZE(args[i]) != sizes[i]) {
+            PyErr_Format(PyExc_ValueError, "%s must be %zd bytes, got %zd", names[i], sizes[i],
+                         PyBytes_GET_SIZE(args[i]));
+            goto done;
+        }
+    if ((ARG(0)[1] != 64 && ARG(0)[1] != 128) ||
+        (ARG(0)[3] != 6 && ARG(0)[3] != 8 && ARG(0)[3] != 12)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "params must be an IV with rate 64 or 128 bits and rounds_b 6, 8 or 12");
+        goto done;
+    }
     out = PyBytes_FromStringAndSize(NULL, PyBytes_GET_SIZE(args[4]));
-    if (out == NULL)
-        return NULL;
-    if (!decrypting && (tag = PyBytes_FromStringAndSize(NULL, TAG_BYTES)) == NULL) {
-        Py_DECREF(out);
-        return NULL;
-    }
+    if (out == NULL || (!decrypting && (tag = PyBytes_FromStringAndSize(NULL, TAG_BYTES)) == NULL))
+        goto done;
     if (LEN(3) + LEN(4) >= GIL_MINSIZE)
         released = PyEval_SaveThread();
     if (decrypting)
@@ -119,15 +98,21 @@ static PyObject *run(int decrypting, PyObject *const *args, Py_ssize_t nargs)
                       (unsigned char *)PyBytes_AS_STRING(tag));
     if (released != NULL)
         PyEval_RestoreThread(released);
-    if (decrypting) {
-        if (!failed)
-            return out;
-        Py_DECREF(out); /* the kernel has zeroed it */
-        Py_RETURN_NONE;
+    if (!decrypting)
+        result = PyTuple_Pack(2, out, tag);
+    else if (failed) { /* done releases out, which the kernel has zeroed */
+        Py_INCREF(Py_None);
+        result = Py_None;
+    } else {
+        result = out;
+        out = NULL;
     }
-    result = PyTuple_Pack(2, out, tag);
-    Py_DECREF(out);
-    Py_DECREF(tag);
+done:
+    Py_XDECREF(out);
+    Py_XDECREF(tag);
+    while (copied-- > 0)
+        if (args[copied] != given[copied])
+            Py_DECREF(args[copied]);
     return result;
 }
 

@@ -71,10 +71,13 @@ class VariantParams:
         if hasattr(self, "_kernel_params"):  # __init__ called again on a built one
             raise AttributeError("cannot re-initialize an immutable VariantParams")
         # The compiled kernel relies on these; reject anything else up front.
+        for field, value in (("rate_bytes", rate_bytes), ("rounds_b", rounds_b)):
+            if not isinstance(value, int):
+                raise TypeError(f"{field} must be an int, not {type(value).__name__}")
         if rate_bytes not in (8, 16):
-            raise ValueError(f"rate must be 8 or 16 bytes, got {rate_bytes}")
+            raise ValueError(f"rate must be 8 or 16 bytes, got {rate_bytes!r}")
         if rounds_b not in VALID_ROUNDS:
-            raise ValueError(f"rounds_b must be in {VALID_ROUNDS}, got {rounds_b}")
+            raise ValueError(f"rounds_b must be in {VALID_ROUNDS}, got {rounds_b!r}")
         # The IV in bits and rounds; it is also the kernel's whole parameter block.
         iv = bytes((8 * KEY_BYTES, 8 * rate_bytes, ROUNDS_A, rounds_b, 0, 0, 0, 0))
         values = (name, rate_bytes, rounds_b, int.from_bytes(iv, "big"), iv)

@@ -83,6 +83,14 @@ class TestVariantParams:
         with pytest.raises(error):
             variant_like(ASCON_128, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [("rate_bytes", 8.0), ("rate_bytes", "8"),
+                                              ("rounds_b", 6.0), ("rounds_b", None)])
+    def test_rejects_a_field_that_is_not_an_int_by_name(self, field, value):
+        # 8.0 == 8, and "8" prints as 8: the type is checked first, by name
+        with pytest.raises(TypeError) as info:
+            variant_like(ASCON_128, **{field: value})
+        assert str(info.value) == f"{field} must be an int, not {type(value).__name__}"
+
     def test_is_immutable(self):
         with pytest.raises(AttributeError):
             ASCON_128.rounds_b = 8
@@ -523,6 +531,9 @@ class TestInputContract:
         pytest.param({"key": bytearray(KEY), "associated_data": [0] * 16},
                      "associated_data must be a bytes-like object, not list",
                      id="bytearray-key-list-ad"),
+        pytest.param({"key": bytearray(KEY), "nonce": bytes(15), "associated_data": [0] * 16},
+                     "associated_data must be a bytes-like object, not list",
+                     id="bytearray-key-short-nonce-list-ad"),
     ])
     def test_every_type_is_checked_before_any_length(self, backend, faults, message):
         args = {"key": KEY, "nonce": NONCE, "associated_data": b"", "ciphertext": b"",
@@ -530,6 +541,10 @@ class TestInputContract:
         with pytest.raises((TypeError, ValueError)) as info:
             decrypt(ASCON_128, **args)
         assert str(info.value) == message
+        if backend == "kernel":  # the binding on its own keeps the same order
+            with pytest.raises((TypeError, ValueError)) as direct:
+                aead._get_accel().decrypt(ASCON_128._kernel_params, *args.values())
+            assert type(direct.value) is type(info.value), direct.value
 
     def test_params_must_be_a_variant(self, backend):
         for call in (lambda: encrypt("ascon128", KEY, NONCE, b"", b""),
@@ -964,8 +979,8 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     compiler = shutil.which("cc")
     if compiler is None:
         pytest.skip("no C compiler on PATH")
-    flags = ["-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Wconversion", "-Werror",
-             "-O2", "-shared", "-fPIC"]
+    # the command that ships, with every warning an error
+    flags = [*_accel._CFLAGS, "-Wall", "-Wextra", "-Wpedantic", "-Wconversion", "-Werror"]
     # the core on its own, without Python's headers, then with its binding;
     # each with both bodies where the toolchain makes two, and with one
     for body in ([], [PORTABLE_BODY]):
@@ -1057,7 +1072,7 @@ def test_binding_stays_inside_its_buffers_and_references(tmp_path):
 
 
 def _objdump(*options: str) -> str:
-    """`objdump` of the loaded kernel with `options`; skips where _accel.c builds one body."""
+    """`objdump` of the loaded kernel with `options`; skips but for gcc 12+ on x86-64 glibc."""
     import os
     import platform
     import re
@@ -1106,6 +1121,21 @@ def test_both_bodies_start_on_a_64_byte_boundary():
     bodies = ("ascon_aead.default", "ascon_aead.arch_x86_64_v3")
     assert set(bodies) <= starts.keys()
     assert {name: starts[name] % 64 for name in bodies} == dict.fromkeys(bodies, 0)
+
+
+def test_one_body_build_starts_on_a_64_byte_boundary(monkeypatch, tmp_path, fresh_loader):
+    # noinline in TWO_BODIES' one-body branch: inlined into both entry
+    # points, the body would start wherever they do, not on a cache line
+    import re
+
+    from ascon_aead import _accel
+
+    monkeypatch.setattr(_accel, "_CFLAGS", (*_accel._CFLAGS, PORTABLE_BODY))
+    monkeypatch.setattr(_accel, "_CACHE_DIR", tmp_path / "cache")
+    starts = [int(address, 16) for address in
+              re.findall(r"^([0-9a-f]+) .*\sascon_aead$", _objdump("-t"), re.M)]
+    assert _accel.LIBRARY.startswith(str(tmp_path / "cache"))
+    assert len(starts) == 1 and starts[0] % 64 == 0, [hex(start) for start in starts]
 
 
 def test_v3_body_uses_andn_and_rorx_and_inlines_every_call():
