@@ -15,9 +15,8 @@ it releases the GIL.  Its checks are a kernel-path call's only ones; aead
 names an argument it refuses.  decrypt takes the received tag: the kernel
 compares it in constant time and, when it fails, zeroes the plaintext, and
 decrypt returns None.  The kernel's only parameter is the variant's
-8-byte IV, which VariantParams derives once (`_kernel_params`); the kernel
-reads the rate and the data-phase rounds from it, as laid out in
-`_accel.c`.
+8-byte IV, which VariantParams derives once (`_iv`); the kernel reads the
+rate and the data-phase rounds from it, as laid out in `_accel.c`.
 
 The one source gives two bodies of the kernel where the toolchain can make
 them (x86-64 ELF with glibc, and gcc 12 or later): one for baseline x86-64
@@ -214,14 +213,13 @@ def _prune(directory: str, keep: str) -> None:
     """Delete the kernel builds in `directory` that `keep` supersedes.
 
     A build is `_accel-<16 hex digits>` followed by this interpreter's
-    extension suffix, or by `.so` alone (a build from before the kernel was
-    an extension module).  Builds for other ABI tags and in-flight `.tmp`
-    files stay.  Any error is ignored: the new build is already in place.
+    extension suffix.  Builds for other ABI tags and in-flight `.tmp` files
+    stay.  Any error is ignored: the new build is already in place.
     """
     import contextlib
     import re
 
-    build = re.compile(rf"_accel-[0-9a-f]{{16}}(?:{re.escape(_EXT_SUFFIX)}|\.so)")
+    build = re.compile(rf"_accel-[0-9a-f]{{16}}{re.escape(_EXT_SUFFIX)}")
     with contextlib.suppress(OSError):
         for entry in os.listdir(directory):
             if entry != keep and build.fullmatch(entry):

@@ -45,9 +45,13 @@ int ascon_decrypt(const unsigned char *params, const unsigned char *key,
 #define LEN(i) ((size_t)PyBytes_GET_SIZE(args[i]))
 
 /* encrypt's (ciphertext, tag), or decrypt's plaintext or None, from the
- * arguments; NULL with an exception set on bad arguments or no memory.
+ * arguments; NULL with an exception set on bad arguments or no memory.  Each
+ * entry point inlines its own copy, in which `decrypting` is a constant.
  */
-static PyObject *run(int decrypting, PyObject *const *given, Py_ssize_t nargs)
+#ifdef __GNUC__
+__attribute__((always_inline))
+#endif
+static inline PyObject *run(int decrypting, PyObject *const *given, Py_ssize_t nargs)
 {
     static const char *const names[ARGS] = {"params", "key", "nonce", "ad", "data", "tag"};
     static const Py_ssize_t sizes[ARGS] = {PARAMS_BYTES, KEY_BYTES, NONCE_BYTES, -1, -1, TAG_BYTES};

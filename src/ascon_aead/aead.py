@@ -64,11 +64,11 @@ class VariantParams:
     """
 
     _fields = ("name", "rate_bytes", "rounds_b")
-    __slots__ = _fields + ("iv_word", "_kernel_params")
+    __slots__ = _fields + ("iv_word", "_iv")
     rounds_a = ROUNDS_A
 
     def __init__(self, name: str, rate_bytes: int, rounds_b: int) -> None:
-        if hasattr(self, "_kernel_params"):  # __init__ called again on a built one
+        if hasattr(self, "_iv"):  # __init__ called again on a built one
             raise AttributeError("cannot re-initialize an immutable VariantParams")
         # The compiled kernel relies on these; reject anything else up front.
         for field, value in (("rate_bytes", rate_bytes), ("rounds_b", rounds_b)):
@@ -78,7 +78,7 @@ class VariantParams:
             raise ValueError(f"rate must be 8 or 16 bytes, got {rate_bytes!r}")
         if rounds_b not in VALID_ROUNDS:
             raise ValueError(f"rounds_b must be in {VALID_ROUNDS}, got {rounds_b!r}")
-        # The IV in bits and rounds; it is also the kernel's whole parameter block.
+        # The IV in bits and rounds; initialize packs it, and it is the kernel's parameter block.
         iv = bytes((8 * KEY_BYTES, 8 * rate_bytes, ROUNDS_A, rounds_b, 0, 0, 0, 0))
         values = (name, rate_bytes, rounds_b, int.from_bytes(iv, "big"), iv)
         for slot, value in zip(self.__slots__, values):
@@ -202,7 +202,7 @@ def initialize(params: VariantParams, key: bytes, nonce: bytes) -> State:
     """Pack IV || K || N, run the a-round permutation, then XOR 0* || K in."""
     _check_length("key", key, KEY_BYTES)
     _check_length("nonce", nonce, NONCE_BYTES)
-    state = State.from_bytes(params.iv_word.to_bytes(8, "big") + key + nonce)
+    state = State.from_bytes(params._iv + key + nonce)
     state = permute(state, ROUNDS_A)
     k1, k2 = int.from_bytes(key[:8], "big"), int.from_bytes(key[8:], "big")
     return state._replace(s3=state.s3 ^ k1, s4=state.s4 ^ k2)
@@ -308,7 +308,7 @@ def encrypt(
     accel = _accel_backend or _get_accel()  # no call once the kernel has loaded
     if accel is not None:
         try:
-            return accel.encrypt(params._kernel_params, key, nonce, associated_data, plaintext)
+            return accel.encrypt(params._iv, key, nonce, associated_data, plaintext)
         except (AttributeError, TypeError, ValueError):  # AttributeError: not a VariantParams
             pass  # _checked raises the error that names the argument at fault
     key, nonce, associated_data, plaintext = _checked(
@@ -338,9 +338,7 @@ def decrypt(
     accel = _accel_backend or _get_accel()
     if accel is not None:
         try:
-            plaintext = accel.decrypt(
-                params._kernel_params, key, nonce, associated_data, ciphertext, tag
-            )
+            plaintext = accel.decrypt(params._iv, key, nonce, associated_data, ciphertext, tag)
             if plaintext is None:
                 raise AuthenticationFailure("authentication failed")
             return plaintext

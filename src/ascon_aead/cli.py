@@ -324,7 +324,7 @@ def cmd_trace(args) -> int:
         params = aead.VARIANTS[args.variant]
         key = _decode_flag("--key", args.key, aead.KEY_BYTES)
         nonce = _decode_flag("--nonce", args.nonce, aead.NONCE_BYTES)
-        state = State.from_bytes(params.iv_word.to_bytes(8, "big") + key + nonce)
+        state = State.from_bytes(params._iv + key + nonce)
     else:
         raise UsageError("a start state is required: pass --state, or --key with --nonce")
 

@@ -46,12 +46,10 @@ class State(namedtuple("State", "s0 s1 s2 s3 s4")):
 
 
 def rotr64(x: int, r: int) -> int:
-    """Rotate the 64-bit word x right by r bit positions, wrapping.
+    """Rotate the 64-bit word x right by r bit positions, wrapping; r = 64 is the identity.
 
-    r outside 0..63 is a caller bug and raises ValueError.
+    Every caller passes a literal.  A shift by r < 0 or 64 - r < 0 raises ValueError.
     """
-    if not 0 <= r <= 63:
-        raise ValueError(f"rotation amount must be in 0..63, got {r}")
     return ((x >> r) | (x << (64 - r))) & MASK64
 
 

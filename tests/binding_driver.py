@@ -65,7 +65,7 @@ def main(path: str) -> int:
     key, nonce = bytes(range(16)), bytes(range(16, 32))
     cases = 0
     for params in (aead.ASCON_128, aead.ASCON_128A):
-        iv = params._kernel_params
+        iv = params._iv
         for length in (0, 17, 2100):  # 2 KiB and over runs without the GIL
             ad, pt = bytes(range(7)), bytes(i % 251 for i in range(length))
             ct, tag = kernel.encrypt(iv, key, nonce, ad, pt)

@@ -95,7 +95,7 @@ class TestVariantParams:
         with pytest.raises(AttributeError):
             ASCON_128.rounds_b = 8
         with pytest.raises(AttributeError):
-            ASCON_128._kernel_params = bytes(8)
+            ASCON_128._iv = bytes(8)
         with pytest.raises(AttributeError):
             del ASCON_128.iv_word
         with pytest.raises(AttributeError):
@@ -111,7 +111,7 @@ class TestVariantParams:
         assert twin is not ASCON_128
         assert twin == ASCON_128
         assert hash(twin) == hash(ASCON_128)
-        assert twin._kernel_params == ASCON_128._kernel_params
+        assert twin._iv == ASCON_128._iv
         assert variant_like(ASCON_128, name="other") != ASCON_128
         assert ASCON_128 != ASCON_128A
         assert len({ASCON_128, twin, ASCON_128A}) == 2
@@ -127,7 +127,7 @@ class TestVariantParams:
         twin = clone(params)
         assert type(twin) is aead.VariantParams
         assert twin == params
-        assert twin._kernel_params == params._kernel_params
+        assert twin._iv == params._iv
         assert encrypt(twin, KEY, NONCE, b"ad", b"pt") == encrypt(params, KEY, NONCE, b"ad", b"pt")
 
     def test_unpickling_invalid_fields_is_rejected(self):
@@ -543,7 +543,7 @@ class TestInputContract:
         assert str(info.value) == message
         if backend == "kernel":  # the binding on its own keeps the same order
             with pytest.raises((TypeError, ValueError)) as direct:
-                aead._get_accel().decrypt(ASCON_128._kernel_params, *args.values())
+                aead._get_accel().decrypt(ASCON_128._iv, *args.values())
             assert type(direct.value) is type(info.value), direct.value
 
     def test_params_must_be_a_variant(self, backend):
@@ -555,7 +555,7 @@ class TestInputContract:
             assert _chain(info.value) == [info.value]
 
 
-_IV = ASCON_128._kernel_params  # the kernel's whole parameter block
+_IV = ASCON_128._iv  # the kernel's whole parameter block
 
 
 def _iv_with(index: int, value: int) -> bytes:
@@ -767,7 +767,7 @@ class TestAcceleratedPath:
         assert [p.suffix for p in private.iterdir()] == [".so"]
         assert aead.backend_info()["library"] == str(next(private.iterdir()))
         assert private.stat().st_mode & 0o777 == 0o700
-        fast = kernel.encrypt(ASCON_128._kernel_params, KEY, NONCE, b"ad", b"message")
+        fast = kernel.encrypt(ASCON_128._iv, KEY, NONCE, b"ad", b"message")
         monkeypatch.setattr(aead, "_accel_backend", False)
         assert fast == encrypt(ASCON_128, KEY, NONCE, b"ad", b"message")
 
@@ -778,14 +778,14 @@ class TestAcceleratedPath:
         cache.mkdir()
         old = "_accel-0123456789abcdef"
         superseded = cache / f"{old}{_accel._EXT_SUFFIX}"
-        legacy = cache / f"{old}.so"  # a ctypes-era build
         kept = [
+            cache / f"{old}.so",  # a bare .so, not this interpreter's suffix
             cache / f"{old}.cpython-399-x86_64-linux-gnu.so",  # another interpreter's build
             cache / f"{old}{_accel._EXT_SUFFIX[:-3]}-k3x9q2.tmp",  # another process compiling
             cache / "_accel-0123.so",
             cache / "notes.txt",
         ]
-        for path in [superseded, legacy, *kept]:
+        for path in [superseded, *kept]:
             path.write_bytes(b"")
         # unlink fails on a directory; the error is ignored and the kernel loads
         blocked = cache / f"_accel-fedcba9876543210{_accel._EXT_SUFFIX}"
@@ -810,8 +810,8 @@ class TestAcceleratedPath:
         # any other bytes-like argument as the bytes it holds.
         position, value, error, reason = KERNEL_ARGS[case]
         kernel = aead._get_accel()
-        ct, tag = kernel.encrypt(ASCON_128._kernel_params, KEY, NONCE, b"ad", bytes(40))
-        args = [ASCON_128._kernel_params, KEY, NONCE, b"ad", bytes(40)]
+        ct, tag = kernel.encrypt(ASCON_128._iv, KEY, NONCE, b"ad", bytes(40))
+        args = [ASCON_128._iv, KEY, NONCE, b"ad", bytes(40)]
         if direction == "decrypt":
             args[4:] = [ct, tag]
         call = getattr(kernel, direction)
@@ -866,7 +866,7 @@ def test_round_trips_leak_no_memory(backend):
                 with pytest.raises(ValueError):
                     decrypt(ASCON_128A, *copied, bytearray(ct), bytearray(15))
             if i % 8 == 2 and kernel is not None:
-                iv = bytearray(ASCON_128A._kernel_params)
+                iv = bytearray(ASCON_128A._iv)
                 assert kernel.encrypt(iv, KEY, nonce, pt[:7], pt) == (ct, tag)
 
     run()  # warm up the caches a first run may fill

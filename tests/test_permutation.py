@@ -34,6 +34,7 @@ PERMUTE12_FIXTURE = State(
 class TestRotr64:
     def test_identity(self):
         assert rotr64(0x0123456789ABCDEF, 0) == 0x0123456789ABCDEF
+        assert rotr64(0x0123456789ABCDEF, 64) == 0x0123456789ABCDEF  # one full turn
 
     def test_single_bit_wraparound(self):
         assert rotr64(0x0000000000000001, 1) == 0x8000000000000000
@@ -41,7 +42,7 @@ class TestRotr64:
     def test_nibble_shift(self):
         assert rotr64(0x0123456789ABCDEF, 4) == 0xF0123456789ABCDE
 
-    @pytest.mark.parametrize("amount", [-1, 64, 100])
+    @pytest.mark.parametrize("amount", [-1, 65, 100])
     def test_rejects_out_of_range(self, amount):
         with pytest.raises(ValueError):
             rotr64(1, amount)
