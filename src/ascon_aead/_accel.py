@@ -6,7 +6,9 @@ The four phase functions of aead stay the reference path and handle every
 input when the kernel cannot be built or loaded.  The kernel, `_accel.c`,
 is a compiled copy of those phases over the same round function on machine
 words, and is pinned to the reference path bit-for-bit by the test suite.
-Like the reference path it never branches on or indexes by secret values.
+Like the reference path it never branches on or indexes by secret values,
+and it is the constant-time path: the reference path holds to that in its
+source only, as CPython's int operations cost more as digit counts grow.
 
 `_accel.c` is plain C.  `_kernelmodule.c` is its CPython binding, the
 module `ascon_aead._kernel`, with one function per direction; its header
@@ -45,8 +47,8 @@ from __future__ import annotations
 
 import _thread
 import os
-import sysconfig
-from importlib.machinery import ExtensionFileLoader, ModuleSpec
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 from importlib.util import source_hash
 
 # Paths are str.  Tests may set any os.PathLike, so they are only ever
@@ -60,8 +62,8 @@ _COMPILER = "cc"
 # symbol, so the binding calls the kernel's entry points directly, not
 # through the PLT, and no other library can interpose them.
 _CFLAGS = ("-O2", "-DNDEBUG", "-std=c99", "-shared", "-fPIC", "-fvisibility=hidden")
-_INCLUDE = sysconfig.get_paths()["include"]  # where Python.h is
-_EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")  # the interpreter's ABI tag
+_EXT_SUFFIX = EXTENSION_SUFFIXES[0]  # the interpreter's ABI tag
+_PLATFORM = f"{sys.platform}-{os.uname().machine}" if hasattr(os, "uname") else sys.platform
 _CACHE_DIR = os.path.join(_HERE, "__pycache__")
 _COMPILE_TIMEOUT_S = 120
 
@@ -76,6 +78,25 @@ _lock = _thread.allocate_lock()
 
 class _Unavailable(Exception):
     """The kernel cannot be built or loaded here; the message says why."""
+
+
+def _include_dir() -> str:
+    """Where Python.h is: sysconfig's header directory, found without sysconfig where possible.
+
+    Importing sysconfig would cost every process that loads a cached kernel
+    a millisecond or more, so the standard place under the base prefix is
+    tried first; sysconfig is asked only when Python.h is not there.
+    """
+    version = f"python{sys.version_info[0]}.{sys.version_info[1]}{getattr(sys, 'abiflags', '')}"
+    standard = os.path.join(sys.base_prefix, "include", version)
+    if os.path.isfile(os.path.join(standard, "Python.h")):
+        return standard
+    import sysconfig
+
+    return sysconfig.get_paths()["include"]
+
+
+_INCLUDE = _include_dir()
 
 
 def load():
@@ -121,7 +142,7 @@ def _library_name() -> str:
     is the same in every process of one interpreter version; it saves
     loading hashlib at start-up.
     """
-    key = repr((_COMPILER, _CFLAGS, _INCLUDE, _EXT_SUFFIX, sysconfig.get_platform(),
+    key = repr((_COMPILER, _CFLAGS, _INCLUDE, _EXT_SUFFIX, _PLATFORM,
                 _read(_SOURCE), _read(_BINDING)))
     return f"_accel-{source_hash(key.encode()).hex()}{_EXT_SUFFIX}"
 

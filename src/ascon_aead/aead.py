@@ -22,6 +22,11 @@ binding's, which copies once a bytes-like argument that is not `bytes`; only
 when it refuses one does `_checked` run, to raise the error that names it.
 The kernel verifies the tag and zeroes failed plaintext.
 
+Neither path branches on, or indexes memory by, secret values in its
+source, but only the kernel is constant-time: the phases here compute on
+CPython ints, whose operations cost more as their digit counts grow, so on
+the pure path timing depends on the key and the data.
+
 Nonces must never repeat under the same key: encryption is deterministic,
 and a repeated (key, nonce) pair forfeits confidentiality.  The library
 does not and cannot detect reuse.

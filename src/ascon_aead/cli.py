@@ -203,10 +203,11 @@ def _resolve_ad(args) -> bytes:
     return b""
 
 
-def _write_out(path: str, data: bytes) -> None:
-    """Write `path` whole or not at all, by way of a temporary file beside it.
+def _write_out(path: str, *chunks: bytes) -> None:
+    """Write the chunks to `path`, whole or not at all, by way of a temporary file beside it.
 
-    The file is created readable and writable by its owner only.
+    The file is created readable and writable by its owner only.  Writing the
+    chunks one after another saves joining them into one more copy.
     """
     import tempfile
 
@@ -215,7 +216,7 @@ def _write_out(path: str, data: bytes) -> None:
     try:
         fd, tmp = tempfile.mkstemp(prefix=f".{name}-", suffix=".tmp", dir=directory or ".")
         with open(fd, "wb") as f:
-            f.write(data)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except OSError as exc:
         raise _IoFailure(f"--out: cannot write {path}: {exc.strerror}") from exc
@@ -244,7 +245,7 @@ def cmd_encrypt(args) -> int:
     _note(args, f"{params.name}: encrypting {len(plaintext)} bytes, ad {len(ad)} bytes")
     ciphertext, tag = aead.encrypt(params, key, nonce, ad, plaintext)
     if args.out is not None:
-        _write_out(args.out, ciphertext + tag)
+        _write_out(args.out, ciphertext, tag)
         _note(args, f"wrote {len(ciphertext) + len(tag)} bytes to {args.out}")
     else:
         print(f"CT={hex_encode(ciphertext)}")

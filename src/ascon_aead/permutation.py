@@ -4,7 +4,10 @@ The state is five unsigned 64-bit words s0..s4.  Bit j of the words
 (s0..s4) forms slice j, a 5-bit S-box input with the s0 bit as x0, so every
 word-wide Boolean operation below acts on all 64 S-box instances at once.
 No function here branches on, or indexes memory by, state-derived values;
-the S-box is evaluated purely as XOR/AND/NOT word operations.
+the S-box is evaluated purely as XOR/AND/NOT word operations.  That holds
+at the source level only: CPython's int operations cost more as the words'
+digit counts grow, so timing here depends on the state.  The compiled
+kernel, _accel.c, is the constant-time path.
 """
 
 from __future__ import annotations

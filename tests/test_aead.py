@@ -901,6 +901,26 @@ def test_library_name_covers_sources_flags_headers_and_abi(tmp_path):
             assert _accel._library_name() != base, name
 
 
+@pytest.mark.parametrize("installed", [True, False], ids=["standard", "elsewhere"])
+def test_include_dir_asks_sysconfig_only_without_python_h_under_base_prefix(
+    installed, monkeypatch, tmp_path
+):
+    import sys
+    import sysconfig
+
+    from ascon_aead import _accel
+
+    version = f"python{sys.version_info[0]}.{sys.version_info[1]}{getattr(sys, 'abiflags', '')}"
+    standard = tmp_path / "include" / version
+    standard.mkdir(parents=True)
+    if installed:
+        (standard / "Python.h").write_bytes(b"")
+    # sysconfig read the real base prefix when it was first imported
+    expected = str(standard) if installed else sysconfig.get_paths()["include"]
+    monkeypatch.setattr(sys, "base_prefix", str(tmp_path))
+    assert _accel._include_dir() == expected
+
+
 @pytest.mark.parametrize(
     "setting, value, reason",
     [

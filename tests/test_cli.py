@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,7 +11,7 @@ from ascon_aead import aead, cli
 from ascon_aead.codec import hex_decode
 from ascon_aead.permutation import ROUND_CONSTANTS, State, linear_layer, substitution_layer
 
-from conftest import kat_path, variant_like
+from conftest import accel_available, kat_path, variant_like
 
 KEY_HEX = "000102030405060708090A0B0C0D0E0F"
 NONCE_HEX = "000102030405060708090A0B0C0D0E0F"
@@ -23,6 +26,22 @@ KAT_TOKENS = [
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def _peak_rss_kib(tmp_path, size):
+    """The peak RSS of `encrypt --in --out` of a `size`-byte file, in its own process."""
+    pt, ct = tmp_path / "pt.bin", tmp_path / "ct.bin"
+    pt.write_bytes(bytes(range(256)) * (size // 256))
+    # a fresh parent, so RUSAGE_CHILDREN sees the one CLI process and no earlier child
+    parent = ("import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True); "
+              "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    argv = [sys.executable, "-m", "ascon_aead.cli", "encrypt", "--key", KEY_HEX,
+            "--nonce", NONCE_HEX, "--in", str(pt), "--out", str(ct)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", parent, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert ct.stat().st_size == size + aead.TAG_BYTES
+    return int(proc.stdout)
 
 
 def trace_line(label, state):
@@ -123,6 +142,16 @@ class TestEncrypt:
         assert "No space left on device" in capsys.readouterr().err
         assert out.read_bytes() == b"earlier contents"
         assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+    def test_file_encrypt_peaks_at_two_copies_of_the_file(self, tmp_path):
+        # The plaintext read and the ciphertext are two copies; writing the
+        # tag after the ciphertext, not `ciphertext + tag`, saves a third.
+        if not accel_available():  # the pure path takes seconds per MiB
+            pytest.skip("the compiled C kernel could not be built or loaded")
+        size = 8 << 20
+        extra = _peak_rss_kib(tmp_path, size) - _peak_rss_kib(tmp_path, 0)
+        assert extra <= 2.5 * size / 1024, f"{extra} KiB over the peak for an empty file"
 
     def test_gen_nonce_echoes_once_and_round_trips(self, capsys, tmp_path):
         pt = tmp_path / "pt.bin"
