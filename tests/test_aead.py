@@ -1158,21 +1158,37 @@ def test_one_body_build_starts_on_a_64_byte_boundary(monkeypatch, tmp_path, fres
     assert len(starts) == 1 and starts[0] % 64 == 0, [hex(start) for start in starts]
 
 
-def test_v3_body_uses_andn_and_rorx_and_inlines_every_call():
-    # The x86-64-v3 body is the whole speed-up: andn and rorx in the round,
-    # and, through `flatten`, duplex and permute compiled into it rather
-    # than called as baseline functions.  Dropping either attribute fails here.
+def _functions() -> dict:
+    """The loaded kernel's functions: name -> its instructions, each "mnemonic operands"."""
     import re
 
-    listing = _objdump("-d", "--no-show-raw-insn")
-    # function name -> its instructions, each "mnemonic operands"
     bodies = {}
-    for block in listing.split("\n\n"):
+    for block in _objdump("-d", "--no-show-raw-insn").split("\n\n"):
         head, _, text = block.strip().partition("\n")
         name = re.fullmatch(r"[0-9a-f]+ <(.+)>:", head)
         if name:
             bodies[name[1]] = [line.split("\t", 1)[1] for line in text.splitlines()
                                if "\t" in line]
+    return bodies
+
+
+def test_each_entry_point_calls_only_its_own_direction():
+    # run is inlined into encrypt and decrypt with `decrypting` a constant,
+    # so neither entry point tests the direction at run time
+    import re
+
+    bodies = _functions()
+    calls = {name: {callee for insn in bodies[name]
+                    for callee in re.findall(r"call\s+[0-9a-f]+ <(ascon_\w+)>", insn)}
+             for name in ("encrypt", "decrypt")}
+    assert calls == {"encrypt": {"ascon_encrypt"}, "decrypt": {"ascon_decrypt"}}
+
+
+def test_v3_body_uses_andn_and_rorx_and_inlines_every_call():
+    # The x86-64-v3 body is the whole speed-up: andn and rorx in the round,
+    # and, through `flatten`, duplex and permute compiled into it rather
+    # than called as baseline functions.  Dropping either attribute fails here.
+    bodies = _functions()
     assert {"ascon_aead.arch_x86_64_v3", "ascon_aead.default"} <= bodies.keys()
     v3 = bodies["ascon_aead.arch_x86_64_v3"]
     assert {"andn", "rorx"} <= {insn.split()[0] for insn in v3}
