@@ -337,12 +337,9 @@ def cmd_trace(args) -> int:
             emit(f"round {index:2} {step}", state)
 
     emit("initial", state)
-    state = permute(state, args.rounds, observe)
+    permute(state, args.rounds, observe)
     if key is not None:
-        # complete the initialization flow: XOR 0* || K into the last words
-        k1, k2 = int.from_bytes(key[:8], "big"), int.from_bytes(key[8:], "big")
-        state = state._replace(s3=state.s3 ^ k1, s4=state.s4 ^ k2)
-        emit("post-initialization", state)
+        emit("post-initialization", aead.initialize(params, key, nonce))
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ tag and reproduce PT.  Failures are data in the report, not exceptions.
 
 from __future__ import annotations
 
+import io
 from collections import namedtuple
 from itertools import chain
 
@@ -124,7 +125,9 @@ def parse_kat_file(text: str) -> list[KatRecord]:
     """
     records: list[KatRecord] = []
     fields: dict[str, bytes | int] = {}
-    lines = text.splitlines()
+    # Lines end at \n, \r\n or \r only, not at the other breaks that
+    # str.splitlines knows, such as \f; the newline goes with the strip below.
+    lines = io.StringIO(text, newline=None).readlines()
     # A record ends at a blank line or a Count line; a blank sentinel,
     # numbered as the last line, ends the last one.
     for line_number, raw in chain(enumerate(lines, start=1), [(len(lines), "")]):

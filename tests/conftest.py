@@ -1,4 +1,6 @@
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -6,11 +8,32 @@ import pytest
 from ascon_aead import aead
 from ascon_aead.kat import parse_kat_file
 
+from mutants import kernel_copy
+
 VECTOR_DIR = Path(__file__).parent / "vectors"
 VARIANT_NAMES = ("ascon128", "ascon128a")
 #: A compiler flag that builds _accel.c with the one baseline body: where the
 #: loader would pick the x86-64-v3 body, only this flag lets a test run the other.
 PORTABLE_BODY = "-DASCON_NO_TARGET_CLONES"
+
+
+def build_kernel_driver(directory: Path, *flags: str, edit=None) -> Path:
+    """Build kernel_driver.c with `flags` in `directory`; the path of the program.
+
+    It links the copy of _accel.c that mutants.kernel_copy writes there,
+    with `edit` applied.  Skips where there is no C compiler.
+    """
+    compiler = shutil.which("cc")
+    if compiler is None:
+        pytest.skip("no C compiler on PATH")
+    kernel_copy(directory, edit)
+    build = subprocess.run(
+        [compiler, "-std=c99", *flags, "-o", "driver",
+         str(Path(__file__).with_name("kernel_driver.c")), "_accel.c"],
+        cwd=directory, capture_output=True, text=True, timeout=120,
+    )
+    assert build.returncode == 0, build.stderr
+    return directory / "driver"
 
 
 def kat_path(variant: str) -> Path:

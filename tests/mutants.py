@@ -59,13 +59,24 @@ def use_kernel_mutant(monkeypatch, tmp_path, edit) -> None:
     """
     from ascon_aead import _accel
 
-    original, replacement = edit
-    source = Path(_accel._SOURCE).read_text()
-    assert original in source, f"mutant {edit!r} no longer matches _accel.c"
-    mutated = tmp_path / "_accel.c"
-    mutated.write_text(source.replace(original, replacement))
-    monkeypatch.setattr(_accel, "_SOURCE", mutated)
+    monkeypatch.setattr(_accel, "_SOURCE", kernel_copy(tmp_path, edit))
     monkeypatch.setattr(_accel, "_CACHE_DIR", tmp_path / "cache")
+
+
+def kernel_copy(directory: Path, edit=None) -> Path:
+    """A copy of _accel.c in `directory`, with `edit`, (text, replacement), applied.
+
+    The text must occur in _accel.c, so a mutant cannot silently stop applying.
+    """
+    from ascon_aead import _accel
+
+    source = Path(_accel._SOURCE).read_text()
+    if edit is not None:
+        assert edit[0] in source, f"mutant {edit!r} no longer matches _accel.c"
+        source = source.replace(*edit)
+    copy = directory / "_accel.c"
+    copy.write_text(source)
+    return copy
 
 
 #: name -> (apply(monkeypatch), earliest KAT count whose CT must diverge)

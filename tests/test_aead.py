@@ -23,7 +23,7 @@ from ascon_aead.aead import (
 from ascon_aead.permutation import State, permute
 
 from binding_driver import VALID_KINDS, WRONG_LENGTHS, WRONG_TYPES, outcome
-from conftest import PORTABLE_BODY, accel_available, variant_like
+from conftest import PORTABLE_BODY, accel_available, build_kernel_driver, variant_like
 from mutants import FORGERY_MUTANTS, SHARED_STATE, use_kernel_mutant
 
 KEY = bytes(range(16))
@@ -1001,10 +1001,12 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
         pytest.skip("no C compiler on PATH")
     # the command that ships, with every warning an error
     flags = [*_accel._CFLAGS, "-Wall", "-Wextra", "-Wpedantic", "-Wconversion", "-Werror"]
-    # the core on its own, without Python's headers, then with its binding;
-    # each with both bodies where the toolchain makes two, and with one
+    # the core on its own, without Python's headers, then with its binding,
+    # then with the tests' C driver; each with both bodies where the
+    # toolchain makes two, and with one
+    driver = str(Path(__file__).with_name("kernel_driver.c"))
     for body in ([], [PORTABLE_BODY]):
-        for extra in ([], [f"-I{_accel._INCLUDE}", str(_accel._BINDING)]):
+        for extra in ([], [f"-I{_accel._INCLUDE}", str(_accel._BINDING)], [driver]):
             proc = subprocess.run(
                 [compiler, *flags, *body, "-o", str(tmp_path / "kernel.so"),
                  str(_accel._SOURCE), *extra],
@@ -1035,22 +1037,14 @@ def test_kernel_entry_points_stay_inside_their_buffers(tmp_path):
     # so kernel_driver.c runs every block edge on exact-size heap buffers
     # under AddressSanitizer and UndefinedBehaviorSanitizer.
     import subprocess
-    from pathlib import Path
 
-    from ascon_aead import _accel
-
-    compiler, sanitize = _sanitizer_flags(tmp_path)
-    flags = ["-std=c99", *sanitize]
-    driver = tmp_path / "driver"
+    _, sanitize = _sanitizer_flags(tmp_path)
     cases = sum((3 * rate + 2) ** 2 for rate in (8, 16))  # lengths 0 to 3 blocks + 1, squared
     # the body the loader picks on this CPU, then the baseline body
     for body in ([], [PORTABLE_BODY]):
-        build = subprocess.run(
-            [compiler, *flags, *body, "-o", str(driver),
-             str(Path(__file__).with_name("kernel_driver.c")), str(_accel._SOURCE)],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert build.returncode == 0, build.stderr
+        directory = tmp_path / ("portable" if body else "picked")
+        directory.mkdir()
+        driver = build_kernel_driver(directory, *sanitize, *body)
         proc = subprocess.run([str(driver)], capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, (body, proc.stderr[-2000:])
         assert proc.stdout.strip() == f"{cases} cases passed"

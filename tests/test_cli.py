@@ -315,6 +315,9 @@ class TestKatCommand:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_short_file_keeps_the_exit_contract(self, data, tmp_path, capsys):
         path = tmp_path / "fuzz.txt"
+        # unlink first: ext4 flushes a file that is truncated and rewritten
+        # (auto_da_alloc), at tens of milliseconds per example
+        path.unlink(missing_ok=True)
         path.write_bytes(data)
         assert run_cli("kat", str(path)) in (0, 2, 5)
         capsys.readouterr()

@@ -6,10 +6,13 @@ and decrypted on the pure path.  For both variants and every pair of AD and
 PT lengths drawn from {0, 1, r, r + 1, 2r + 1}, r the rate in bytes,
 different random keys, nonces and data must give the same sequence.
 
-Kernel: control_flow_driver.c and _accel.c are built with `cc -O0
---coverage`, and each run encrypts and decrypts one message.  For both
-variants and every pair of AD and PT lengths of 0 to 3 blocks plus or minus
-one byte (0, 1, r - 1, r, r + 1, ..., 3r + 1), the coverage counters for
+Kernel: tests/kernel_driver.c is the kernel's one C driver.  With no
+arguments it runs the sanitizer sweep of tests/test_aead.py; with VARIANT
+ADLEN LEN SEED FORGE it runs one case, which encrypts and decrypts one
+message.  Here conftest.build_kernel_driver builds it and _accel.c with
+`cc -O0 --coverage`, and each run is one case.  For both variants and
+every pair of AD and PT lengths of 0 to 3 blocks plus or minus one byte
+(0, 1, r - 1, r, r + 1, ..., 3r + 1), the coverage counters for
 _accel.c, from which gcov computes its line and branch counts, must be the
 same across random keys, nonces and data with the right tag, and the same
 across wrong tags that differ from it in byte 0, 8 or 15.  A run with the
@@ -38,10 +41,10 @@ from pathlib import Path
 
 import pytest
 
-from ascon_aead import _accel, aead
+from ascon_aead import aead
 from ascon_aead.aead import ASCON_128, ASCON_128A
 
-from conftest import PORTABLE_BODY
+from conftest import PORTABLE_BODY, build_kernel_driver
 from mutants import EARLY_EXIT_COMPARE, KERNEL_KEY_BIT_BRANCH, KEY_BIT_BRANCH
 
 BOTH = pytest.mark.parametrize("params", [ASCON_128, ASCON_128A], ids=lambda p: p.name)
@@ -106,23 +109,11 @@ def test_key_bit_branch_is_caught(params, pure_path, monkeypatch):
     assert next(divergent_pairs(params), None) is not None
 
 
-def build_counted_kernel(directory: Path, edit=None, flags=()) -> Path:
-    """control_flow_driver.c and _accel.c, with `edit` applied, built for gcov in `directory`."""
-    compiler = shutil.which("cc")
-    if compiler is None or shutil.which("gcov") is None:
-        pytest.skip("needs cc and gcov on PATH")
-    source = Path(_accel._SOURCE).read_text()
-    if edit is not None:
-        assert edit[0] in source, f"mutant {edit!r} no longer matches _accel.c"
-        source = source.replace(*edit)
-    (directory / "_accel.c").write_text(source)
-    driver = Path(__file__).with_name("control_flow_driver.c")
-    build = subprocess.run(
-        [compiler, "-std=c99", "-O0", "--coverage", *flags, "-o", "driver", str(driver),
-         "_accel.c"],
-        cwd=directory, capture_output=True, text=True, timeout=120,
-    )
-    assert build.returncode == 0, build.stderr
+def build_counted_kernel(directory: Path, *flags: str, edit=None) -> Path:
+    """kernel_driver.c and _accel.c, with `edit` applied, built for gcov in `directory`."""
+    if shutil.which("gcov") is None:
+        pytest.skip("needs gcov on PATH")
+    build_kernel_driver(directory, "-O0", "--coverage", *flags, edit=edit)
     return directory
 
 
@@ -214,7 +205,7 @@ def test_kernel_counts_do_not_depend_on_secrets_or_the_tag(tmp_path):
     for body, flags in (("picked", ()), ("portable", (PORTABLE_BODY,))):
         directory = tmp_path / body
         directory.mkdir()
-        assert list(divergent_triples(build_counted_kernel(directory, flags=flags))) == [], body
+        assert list(divergent_triples(build_counted_kernel(directory, *flags))) == [], body
 
 
 @pytest.mark.parametrize(
@@ -223,5 +214,5 @@ def test_kernel_counts_do_not_depend_on_secrets_or_the_tag(tmp_path):
     ids=["key-bit-branch", "early-exit-compare"],
 )
 def test_kernel_negative_control_is_caught(tmp_path, edit, tags):
-    directory = build_counted_kernel(tmp_path, edit)
+    directory = build_counted_kernel(tmp_path, edit=edit)
     assert tags <= {found[3] for found in divergent_triples(directory, variants=(0,))}

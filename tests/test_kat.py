@@ -117,6 +117,20 @@ class TestParser:
         assert str(info.value) == f"line {line_number}: record is missing field PT"
         assert info.value.line_number == line_number
 
+    @pytest.mark.parametrize(
+        "char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_newlines_end_a_line(self, char):
+        # str.splitlines breaks at each of these; a KAT line ends at \n, \r\n or \r
+        text = WELL_FORMED.replace("Count = 1\n", f"Count = 1{char}\n")
+        assert parse_kat_file(text) == parse_kat_file(WELL_FORMED)
+        with pytest.raises(KatParseError, match="^line 11: bad hex in PT"):
+            parse_kat_file(text.replace("PT = 00", "PT = 0"))
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_end_a_line(self, newline):
+        assert parse_kat_file(WELL_FORMED.replace("\n", newline)) == parse_kat_file(WELL_FORMED)
+
     def test_counts_must_start_at_one(self):
         # the error names the first record's Count line, wherever it is
         for prefix, line_number in (("", 1), ("\n\n", 3)):
