@@ -31,6 +31,12 @@ state in registers through the data loop, with one copy of the loop per
 direction and two rounds per pass, which makes the first compile take
 about 0.5 s.
 
+The loop walks the round constant, and x2 is held complemented through
+the whole message, which drops the S-box's NOT from every round; x2 is
+never output, so it is never restored.  Whole blocks are found with a
+mask, so the kernel uses no division, and decrypt compares the tag as two
+64-bit words in registers.
+
 Only the standard library, the CPython headers and the system C compiler
 (`cc`) are needed.  On first use the two files are compiled into a cache
 keyed by a hash of both sources, the compile command, the header directory,

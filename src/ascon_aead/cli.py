@@ -170,6 +170,30 @@ def _read_file(flag: str | None, path: str) -> bytes:
         raise _IoFailure(f"{where}cannot read {path}: {exc.strerror}") from exc
 
 
+def _read_sealed(path: str) -> tuple[bytes, bytes]:
+    """The ciphertext and the tag of the `ciphertext||tag` file at `path`.
+
+    The ciphertext is read as one `bytes` of the file's size less the tag,
+    then the tag, so no slice copies the ciphertext a second time.  A file
+    whose size fstat does not give, such as a pipe, or that grows while it
+    is read, is read whole and split.
+    """
+    try:
+        with open(path, "rb") as f:
+            ciphertext = f.read(max(os.fstat(f.fileno()).st_size - aead.TAG_BYTES, 0))
+            tag = f.read()
+    except OSError as exc:
+        raise _IoFailure(f"--in: cannot read {path}: {exc.strerror}") from exc
+    if len(tag) != aead.TAG_BYTES:
+        blob = ciphertext + tag
+        if len(blob) < aead.TAG_BYTES:
+            raise UsageError(
+                f"--in: input shorter than tag ({len(blob)} < {aead.TAG_BYTES} bytes)"
+            )
+        ciphertext, tag = blob[: -aead.TAG_BYTES], blob[-aead.TAG_BYTES :]
+    return ciphertext, tag
+
+
 class _IoFailure(Exception):
     """I/O problem; maps to exit code 3."""
 
@@ -266,12 +290,7 @@ def cmd_decrypt(args) -> int:
     elif args.in_path is not None:
         if args.tag is not None:
             raise UsageError("--tag only applies to --ct; --in carries the tag inline")
-        blob = _read_file("--in", args.in_path)
-        if len(blob) < aead.TAG_BYTES:
-            raise UsageError(
-                f"--in: input shorter than tag ({len(blob)} < {aead.TAG_BYTES} bytes)"
-            )
-        ciphertext, tag = blob[: -aead.TAG_BYTES], blob[-aead.TAG_BYTES :]
+        ciphertext, tag = _read_sealed(args.in_path)
     else:
         raise UsageError("an input is required: pass --in, or --ct with --tag")
     _note(args, f"{params.name}: decrypting {len(ciphertext)} bytes, ad {len(ad)} bytes")

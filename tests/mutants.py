@@ -15,7 +15,8 @@ catch.
 
 KERNEL_MUTANTS carries the same seven bug classes into the compiled kernel
 as edits of its C source, which a test builds and loads; each must be
-caught by the same earliest record as its Python twin.  KERNEL_KEY_BIT_BRANCH
+caught by the same earliest record as its Python twin.  UNCOMPLEMENTED_K2
+is a kernel bug with no twin, caught the same way.  KERNEL_KEY_BIT_BRANCH
 and EARLY_EXIT_COMPARE are the kernel's negative controls for the C half
 of tests/test_control_flow.py.  SHARED_STATE, one state for every call, is
 the negative control for the thread test in tests/test_aead.py.
@@ -131,8 +132,8 @@ KEY_BIT_BRANCH = _edit(
 #: name -> (text in _accel.c, its replacement); every match is replaced.
 KERNEL_MUTANTS = {
     "wrong round constants": (
-        "x2 ^= (uint64_t)(((0xF - r) << 4) | r);",
-        "x2 ^= (uint64_t)(r + 1);",
+        "s = round_r(round_r(s, nc), nc + 0x0f);",
+        "s = round_r(round_r(s, nc), nc + 0x10);",
     ),
     "left instead of right rotation": (
         "#define ROTR(x, n) (((x) >> (n)) | ((x) << (64 - (n))))",
@@ -153,12 +154,25 @@ KERNEL_MUTANTS = {
 
 #: Negative controls for the kernel's control-flow test, as edits of
 #: _accel.c: a branch on a key bit that changes no output, and a tag
-#: compare that stops at the first differing byte.
+#: compare that returns at the first differing 8-byte word.
 KERNEL_KEY_BIT_BRANCH = (
     "    s = permute(s, 12);\n    s.x3 ^= k1;",
     "    s = permute(s, 12);\n    if (k1 & 1)\n        s.x0 ^= 0;\n    s.x3 ^= k1;",
 )
-EARLY_EXIT_COMPARE = ("i < 16; i++)\n        diff |=", "i < 16 && !diff; i++)\n        diff |=")
+EARLY_EXIT_COMPARE = (
+    "    if (mode == DECRYPT)\n"
+    "        return (s.x3 ^ k1 ^ load64(tag)) | (s.x4 ^ k2 ^ load64(tag + 8));",
+    "    if (mode == DECRYPT) {\n"
+    "        if (s.x3 ^ k1 ^ load64(tag))\n"
+    "            return 1;\n"
+    "        return s.x4 ^ k2 ^ load64(tag + 8);\n"
+    "    }",
+)
+
+#: A kernel bug with no twin on the reference path, which does not hold x2
+#: complemented: k2 enters the state as it is, not as ~k2, so x2 starts off
+#: by all ones.  The KAT gate must catch it by record 1.
+UNCOMPLEMENTED_K2 = ("k1, ~k2, load64(nonce)", "k1, k2, load64(nonce)")
 
 #: A negative control for the thread test, as an edit of _accel.c: the
 #: block loop keeps the state in one static variable, which calls that

@@ -1153,7 +1153,7 @@ def test_one_body_build_starts_on_a_64_byte_boundary(monkeypatch, tmp_path, fres
 
 
 def _functions() -> dict:
-    """The loaded kernel's functions: name -> its instructions, each "mnemonic operands"."""
+    """The loaded kernel's functions: name -> its (address, "mnemonic operands") pairs."""
     import re
 
     bodies = {}
@@ -1161,8 +1161,8 @@ def _functions() -> dict:
         head, _, text = block.strip().partition("\n")
         name = re.fullmatch(r"[0-9a-f]+ <(.+)>:", head)
         if name:
-            bodies[name[1]] = [line.split("\t", 1)[1] for line in text.splitlines()
-                               if "\t" in line]
+            bodies[name[1]] = [(int(address, 16), insn) for address, insn in
+                               (line.split(":\t", 1) for line in text.splitlines() if ":\t" in line)]
     return bodies
 
 
@@ -1172,7 +1172,7 @@ def test_each_entry_point_calls_only_its_own_direction():
     import re
 
     bodies = _functions()
-    calls = {name: {callee for insn in bodies[name]
+    calls = {name: {callee for _, insn in bodies[name]
                     for callee in re.findall(r"call\s+[0-9a-f]+ <(ascon_\w+)>", insn)}
              for name in ("encrypt", "decrypt")}
     assert calls == {"encrypt": {"ascon_encrypt"}, "decrypt": {"ascon_decrypt"}}
@@ -1184,8 +1184,31 @@ def test_v3_body_uses_andn_and_rorx_and_inlines_every_call():
     # than called as baseline functions.  Dropping either attribute fails here.
     bodies = _functions()
     assert {"ascon_aead.arch_x86_64_v3", "ascon_aead.default"} <= bodies.keys()
-    v3 = bodies["ascon_aead.arch_x86_64_v3"]
+    v3 = [insn for _, insn in bodies["ascon_aead.arch_x86_64_v3"]]
     assert {"andn", "rorx"} <= {insn.split()[0] for insn in v3}
     # a compiler that adds stack canaries by default calls its abort, and only on failure
     calls = [insn for insn in v3 if "call" in insn.split()[:2] and "<__stack_chk_fail" not in insn]
     assert calls == []
+
+
+def test_bodies_divide_nowhere_and_the_v3_round_loop_has_no_not():
+    # Whole blocks are found by a mask, not len / rate * rate.  x2 is held
+    # complemented and the loop walks the complemented round constant, so
+    # the S-box's final NOT is gone: no `not` in any loop of the v3 body
+    # that holds one pass of two rounds, 20 rorx.
+    import re
+
+    bodies = _functions()
+    for name in ("ascon_aead.arch_x86_64_v3", "ascon_aead.default"):
+        divisions = [insn for _, insn in bodies[name] if insn.split()[0] in ("div", "idiv")]
+        assert divisions == [], name
+    v3 = bodies["ascon_aead.arch_x86_64_v3"]
+    passes = []
+    for address, insn in v3:
+        jump = re.match(r"j\w+\s+([0-9a-f]+) ", insn)
+        if jump and int(jump[1], 16) <= address:  # a backward jump closes a loop
+            loop = [text.split()[0] for at, text in v3 if int(jump[1], 16) <= at <= address]
+            if loop.count("rorx") == 20:
+                passes.append(loop)
+    assert passes, "no two-round loop in the v3 body"
+    assert [loop.count("not") for loop in passes] == [0] * len(passes)

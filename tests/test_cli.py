@@ -28,20 +28,31 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
-def _peak_rss_kib(tmp_path, size):
-    """The peak RSS of `encrypt --in --out` of a `size`-byte file, in its own process."""
-    pt, ct = tmp_path / "pt.bin", tmp_path / "ct.bin"
+def _peak_rss_kib(tmp_path, size, command="encrypt"):
+    """The peak RSS of `encrypt --in --out` of a `size`-byte file, in its own process.
+
+    With `command` "decrypt", that of `decrypt --in --out` of the file encrypt wrote.
+    """
+    pt, ct, back = tmp_path / "pt.bin", tmp_path / "ct.bin", tmp_path / "back.bin"
     pt.write_bytes(bytes(range(256)) * (size // 256))
     # a fresh parent, so RUSAGE_CHILDREN sees the one CLI process and no earlier child
     parent = ("import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True); "
               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
-    argv = [sys.executable, "-m", "ascon_aead.cli", "encrypt", "--key", KEY_HEX,
-            "--nonce", NONCE_HEX, "--in", str(pt), "--out", str(ct)]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    proc = subprocess.run([sys.executable, "-c", parent, *argv], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
+
+    def peak(name, source, target):
+        argv = [sys.executable, "-m", "ascon_aead.cli", name, "--key", KEY_HEX,
+                "--nonce", NONCE_HEX, "--in", str(source), "--out", str(target)]
+        proc = subprocess.run([sys.executable, "-c", parent, *argv], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        return int(proc.stdout)
+
+    kib = peak("encrypt", pt, ct)
     assert ct.stat().st_size == size + aead.TAG_BYTES
-    return int(proc.stdout)
+    if command == "decrypt":
+        kib = peak("decrypt", ct, back)
+        assert back.read_bytes() == pt.read_bytes()
+    return kib
 
 
 def trace_line(label, state):
@@ -195,6 +206,35 @@ class TestDecrypt:
         assert rc == 0
         assert out.read_bytes() == src.read_bytes()
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+    def test_file_decrypt_peaks_at_two_copies_of_the_file(self, tmp_path):
+        # The ciphertext read and the plaintext are two copies; reading the
+        # ciphertext and the tag apart, not slicing `blob[:-16]`, saves a third.
+        if not accel_available():  # the pure path takes seconds per MiB
+            pytest.skip("the compiled C kernel could not be built or loaded")
+        size = 8 << 20
+        extra = (_peak_rss_kib(tmp_path, size, "decrypt")
+                 - _peak_rss_kib(tmp_path, 0, "decrypt"))
+        assert extra <= 2.5 * size / 1024, f"{extra} KiB over the peak for an empty file"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_round_trip(self, tmp_path):
+        # a pipe has no size to split the read by, so it is read whole
+        import threading
+
+        src, enc = self._encrypt_file(tmp_path)
+        pipe, out = tmp_path / "sealed.fifo", tmp_path / "restored.bin"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(enc.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        rc = run_cli("decrypt", "--key", KEY_HEX, "--nonce", NONCE_HEX,
+                     "--in", str(pipe), "--out", str(out))
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert rc == 0
+        assert out.read_bytes() == src.read_bytes()
+
     def test_flipped_tag_byte_exits_4_with_no_output(self, tmp_path, capsys):
         _, enc = self._encrypt_file(tmp_path)
         blob = bytearray(enc.read_bytes())
@@ -214,6 +254,13 @@ class TestDecrypt:
         captured = capsys.readouterr()
         assert "PT=" not in captured.out
         assert captured.err.strip() == "authentication failed"
+
+    @pytest.mark.parametrize("name", ["absent.bin", "."])
+    def test_unreadable_input_exits_3_naming_it(self, tmp_path, capsys, name):
+        rc = run_cli("decrypt", "--key", KEY_HEX, "--nonce", NONCE_HEX,
+                     "--in", str(tmp_path / name))
+        assert rc == 3
+        assert f"--in: cannot read {tmp_path / name}" in capsys.readouterr().err
 
     def test_short_input_file_exits_2(self, tmp_path, capsys):
         stub = tmp_path / "short.bin"

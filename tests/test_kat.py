@@ -6,7 +6,7 @@ from ascon_aead.codec import hex_encode
 from ascon_aead.kat import KatParseError, KatRecord, KatReport, parse_kat_file, run_kat
 
 from conftest import PORTABLE_BODY, accel_available
-from mutants import BUG_MUTANTS, KERNEL_MUTANTS, use_kernel_mutant
+from mutants import BUG_MUTANTS, KERNEL_MUTANTS, UNCOMPLEMENTED_K2, use_kernel_mutant
 from oracles import serialize_records
 
 WELL_FORMED = """\
@@ -257,14 +257,20 @@ class TestBugLedgerMutants:
         assert run_kat(head, ASCON_128A).failed > 0
 
 
+#: name -> (edit of _accel.c, earliest KAT count whose CT must diverge): each
+#: kernel mutant with its twin's count, and the one with no twin.
+KERNEL_CASES = {name: (edit, BUG_MUTANTS[name][1]) for name, edit in KERNEL_MUTANTS.items()}
+KERNEL_CASES["uncomplemented k2"] = (UNCOMPLEMENTED_K2, 1)
+
+
 @pytest.mark.skipif(
     not accel_available(), reason="the compiled C kernel could not be built or loaded"
 )
-@pytest.mark.parametrize("name", sorted(KERNEL_MUTANTS))
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
 def test_kernel_mutant_is_detected(name, kat_records, monkeypatch, tmp_path, fresh_loader):
-    """A bug compiled into the kernel fails the same KAT record as its Python twin."""
-    earliest = BUG_MUTANTS[name][1]
-    use_kernel_mutant(monkeypatch, tmp_path, KERNEL_MUTANTS[name])
+    """A bug compiled into the kernel fails the same KAT record as its Python twin, if any."""
+    edit, earliest = KERNEL_CASES[name]
+    use_kernel_mutant(monkeypatch, tmp_path, edit)
     report = run_kat(kat_records["ascon128"][:2], ASCON_128)
     assert aead._accel_backend is _accel.load(), _accel.UNAVAILABLE_REASON
     assert _accel.LIBRARY.startswith(str(tmp_path / "cache"))
