@@ -39,14 +39,15 @@ mask, so the kernel uses no division, and decrypt compares the tag as two
 
 Only the standard library, the CPython headers and the system C compiler
 (`cc`) are needed.  On first use the two files are compiled into a cache
-keyed by a hash of both sources, the compile command, the header directory,
-the interpreter's extension suffix and the platform: the `__pycache__`
+keyed by a hash of both sources, the compile command, the interpreter's
+extension suffix (its ABI tag) and the platform: the `__pycache__`
 directory next to this file, or, when that is not writable, a private
-per-user directory under the system temporary directory.  Later processes
-load the cached module without compiling.  Right after a compile, the
-superseded builds for this interpreter in the same directory are deleted,
-so a process of an older source revision in the same checkout may then have
-to compile its own build again.
+per-user directory under the system temporary directory.  Interpreters
+with one ABI tag share one build, and only a compile looks up where the
+CPython headers are.  Later processes load the cached module without
+compiling.  Right after a compile, the superseded builds for this ABI tag
+in the same directory are deleted, so a process of an older source
+revision in the same checkout may then have to compile its own build again.
 """
 
 from __future__ import annotations
@@ -84,25 +85,6 @@ _lock = _thread.allocate_lock()
 
 class _Unavailable(Exception):
     """The kernel cannot be built or loaded here; the message says why."""
-
-
-def _include_dir() -> str:
-    """Where Python.h is: sysconfig's header directory, found without sysconfig where possible.
-
-    Importing sysconfig would cost every process that loads a cached kernel
-    a millisecond or more, so the standard place under the base prefix is
-    tried first; sysconfig is asked only when Python.h is not there.
-    """
-    version = f"python{sys.version_info[0]}.{sys.version_info[1]}{getattr(sys, 'abiflags', '')}"
-    standard = os.path.join(sys.base_prefix, "include", version)
-    if os.path.isfile(os.path.join(standard, "Python.h")):
-        return standard
-    import sysconfig
-
-    return sysconfig.get_paths()["include"]
-
-
-_INCLUDE = _include_dir()
 
 
 def load():
@@ -148,8 +130,7 @@ def _library_name() -> str:
     is the same in every process of one interpreter version; it saves
     loading hashlib at start-up.
     """
-    key = repr((_COMPILER, _CFLAGS, _INCLUDE, _EXT_SUFFIX, _PLATFORM,
-                _read(_SOURCE), _read(_BINDING)))
+    key = repr((_COMPILER, _CFLAGS, _EXT_SUFFIX, _PLATFORM, _read(_SOURCE), _read(_BINDING)))
     return f"_accel-{source_hash(key.encode()).hex()}{_EXT_SUFFIX}"
 
 
@@ -205,8 +186,10 @@ def _compile(target: str) -> None:
     import contextlib
     import shutil
     import subprocess
+    import sysconfig
     import tempfile
 
+    include = sysconfig.get_paths()["include"]  # where Python.h is
     directory, name = os.path.split(target)
     stem = os.path.splitext(name)[0]
     fd, tmp = tempfile.mkstemp(prefix=f"{stem}-", suffix=".tmp", dir=directory)
@@ -217,7 +200,7 @@ def _compile(target: str) -> None:
             raise _Unavailable(f"C compiler {_COMPILER!r} not found on PATH")
         try:
             proc = subprocess.run(
-                [compiler, *_CFLAGS, f"-I{_INCLUDE}", "-o", tmp, _SOURCE, _BINDING],
+                [compiler, *_CFLAGS, f"-I{include}", "-o", tmp, _SOURCE, _BINDING],
                 capture_output=True,
                 text=True,
                 timeout=_COMPILE_TIMEOUT_S,

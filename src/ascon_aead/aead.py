@@ -310,10 +310,9 @@ def encrypt(
     Every input may be any bytes-like object; anything else (a str, say)
     raises TypeError, and a key or nonce of the wrong length ValueError.
     """
-    accel = _accel_backend or _get_accel()  # no call once the kernel has loaded
-    if accel is not None:
+    if _accel_backend or (_accel_backend is None and _get_accel()):  # resolved once
         try:
-            return accel.encrypt(params._iv, key, nonce, associated_data, plaintext)
+            return _accel_backend.encrypt(params._iv, key, nonce, associated_data, plaintext)
         except (AttributeError, TypeError, ValueError):  # AttributeError: not a VariantParams
             pass  # _checked raises the error that names the argument at fault
     key, nonce, associated_data, plaintext = _checked(
@@ -340,10 +339,10 @@ def decrypt(
     AuthenticationFailure is raised and no plaintext leaves this function.
     Inputs are checked as in `encrypt`, and so is the tag's length.
     """
-    accel = _accel_backend or _get_accel()
-    if accel is not None:
+    if _accel_backend or (_accel_backend is None and _get_accel()):
         try:
-            plaintext = accel.decrypt(params._iv, key, nonce, associated_data, ciphertext, tag)
+            plaintext = _accel_backend.decrypt(params._iv, key, nonce, associated_data,
+                                               ciphertext, tag)
             if plaintext is None:
                 raise AuthenticationFailure("authentication failed")
             return plaintext

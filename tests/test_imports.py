@@ -11,10 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 SRC = Path(__file__).resolve().parent.parent / "src"
-AVOIDED = ("dataclasses", "inspect", "typing", "pathlib", "threading", "hashlib")
+AVOIDED = ("dataclasses", "inspect", "typing", "pathlib", "threading", "hashlib", "sysconfig")
 
 CHILD = f"""
 import sys
@@ -27,7 +25,6 @@ assert ascon_aead.decrypt(ascon_aead.ASCON_128, key, nonce, b"ad", ct, tag) == b
 print(ascon_aead.backend_info()["backend"])
 print(" ".join(name for name in {AVOIDED!r} if name in sys.modules))
 print("hmac" in sys.modules)
-print("sysconfig" in sys.modules)
 """
 
 
@@ -42,27 +39,17 @@ def run_child(code: str) -> str:
 
 
 def test_library_path_loads_no_dataclasses_typing_or_pathlib():
+    from ascon_aead import aead
+
+    aead.backend_info()  # builds the kernel into the cache, so the child loads it
     backend, loaded, hmac_loaded = run_child(CHILD).split("\n")[:3]
     assert backend in ("kernel", "pure")
-    # the pure path verifies the tag with hmac, which imports hashlib
-    allowed = set() if backend == "kernel" else {"hashlib"}
+    # the pure path verifies the tag with hmac, which imports hashlib, and
+    # the failed compile asked sysconfig where the CPython headers are
+    allowed = set() if backend == "kernel" else {"hashlib", "sysconfig"}
     assert set(loaded.split()) <= allowed, f"loaded on the {backend} path: {loaded}"
     if backend == "kernel":  # the kernel verifies the tag itself
         assert hmac_loaded == "False"
-
-
-def test_cached_kernel_loads_without_sysconfig():
-    # The loader looks for Python.h under sys.base_prefix first; importing
-    # sysconfig to find it would cost every process a millisecond or more.
-    version = f"python{sys.version_info[0]}.{sys.version_info[1]}{getattr(sys, 'abiflags', '')}"
-    if not (Path(sys.base_prefix) / "include" / version / "Python.h").is_file():
-        pytest.skip("Python.h is not at the standard path, so the loader asks sysconfig")
-    from ascon_aead import aead
-
-    if aead.backend_info()["backend"] != "kernel":  # builds the kernel into the cache
-        pytest.skip("the compiled C kernel could not be built or loaded")
-    backend, _, _, sysconfig_loaded = run_child(CHILD).split("\n")[:4]
-    assert (backend, sysconfig_loaded) == ("kernel", "False")
 
 
 def test_cli_import_loads_no_pathlib_or_tempfile():
