@@ -803,6 +803,28 @@ class TestAcceleratedPath:
         assert _accel.LIBRARY == str(library)
         assert superseded.exists()
 
+    def test_interpreters_with_one_abi_tag_share_one_build(
+        self, monkeypatch, tmp_path, fresh_loader
+    ):
+        # another interpreter with this ABI tag whose headers lie elsewhere,
+        # or are not installed, loads the build already in the cache
+        import sysconfig
+
+        from ascon_aead import _accel
+
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(_accel, "_CACHE_DIR", cache)
+        assert _accel.load(), _accel.UNAVAILABLE_REASON
+        library = _accel.LIBRARY
+        (tmp_path / "headers").mkdir()
+        monkeypatch.setattr(sysconfig, "get_paths",
+                            lambda *args, **kw: {"include": str(tmp_path / "headers")})
+        for name in ("_kernel", "LIBRARY"):
+            monkeypatch.setattr(_accel, name, None)
+        assert _accel.load(), _accel.UNAVAILABLE_REASON
+        assert _accel.LIBRARY == library
+        assert [str(path) for path in cache.iterdir()] == [library]
+
     @pytest.mark.parametrize("direction, case", KERNEL_ARG_CASES)
     def test_kernel_module_checks_its_own_arguments(self, direction, case):
         # Called directly, past aead's checks, the module must refuse what
@@ -1052,6 +1074,17 @@ def test_kernel_driver_times_the_kat_inputs_in_both_directions(tmp_path):
     assert re.fullmatch(r"2178 inputs, fastest of 1 passes\n"
                         r"encrypt \d+\.\d ns per call\n"
                         r"decrypt \d+\.\d ns per call, 0 rejected\n", proc.stdout), proc.stdout
+
+
+def test_kernel_driver_time_refuses_fewer_than_one_pass(tmp_path):
+    import subprocess
+
+    driver = build_kernel_driver(tmp_path, "-O2", "-DNDEBUG")
+    for passes in ("0", "-1", "many"):
+        proc = subprocess.run([str(driver), "time", passes], capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, ""), passes
+        assert proc.stderr == "PASSES must be at least 1\n", passes
 
 
 def test_binding_stays_inside_its_buffers_and_references(tmp_path):
