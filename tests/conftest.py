@@ -68,6 +68,15 @@ def fresh_loader(monkeypatch):
     monkeypatch.setattr(aead, "_accel_backend", None)
 
 
+def run_selftest(capsys) -> tuple[int, list[str]]:
+    """The exit code of `ascon-aead selftest` on the code and backend as they stand,
+    and the lines it printed for the checks that failed."""
+    from ascon_aead import cli
+
+    rc = cli.main(["selftest"])
+    return rc, [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+
+
 def accel_available() -> bool:
     return aead._get_accel() is not None
 

@@ -23,7 +23,9 @@ from ascon_aead.aead import (
 from ascon_aead.permutation import State, permute
 
 from binding_driver import VALID_KINDS, WRONG_LENGTHS, WRONG_TYPES, outcome
-from conftest import PORTABLE_BODY, accel_available, build_kernel_driver, variant_like
+from conftest import (
+    PORTABLE_BODY, accel_available, build_kernel_driver, run_selftest, variant_like,
+)
 from mutants import FORGERY_MUTANTS, SHARED_STATE, use_kernel_mutant
 
 KEY = bytes(range(16))
@@ -316,7 +318,7 @@ def accepted_forgeries(params) -> list:
 
 
 @pytest.mark.parametrize("name", sorted(FORGERY_MUTANTS))
-def test_forgery_mutant_is_caught(name, monkeypatch, tmp_path, fresh_loader):
+def test_forgery_mutant_is_caught(name, monkeypatch, capsys, tmp_path, fresh_loader):
     """A tag check broken on one backend lets the tamper test's forgeries through."""
     backend, edit = FORGERY_MUTANTS[name]
     if backend == "kernel":
@@ -328,6 +330,8 @@ def test_forgery_mutant_is_caught(name, monkeypatch, tmp_path, fresh_loader):
         edit(monkeypatch)
     assert accepted_forgeries(ASCON_128) == ["ciphertext", "tag", "associated_data", "nonce"]
     assert aead.backend_info()["backend"] == backend
+    rc, failed = run_selftest(capsys)
+    assert rc == 5 and failed, f"selftest missed forgery mutant {name!r}"
 
 
 class TestEncryptDecrypt:

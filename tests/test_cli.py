@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ from ascon_aead import aead, cli
 from ascon_aead.codec import hex_decode
 from ascon_aead.permutation import ROUND_CONSTANTS, State, linear_layer, substitution_layer
 
-from conftest import accel_available, kat_path, variant_like
+from conftest import VARIANT_NAMES, accel_available, kat_path, variant_like
 
 KEY_HEX = "000102030405060708090A0B0C0D0E0F"
 NONCE_HEX = "000102030405060708090A0B0C0D0E0F"
@@ -459,12 +460,29 @@ class TestTrace:
 
 
 class TestSelftest:
+    CHECKS = [
+        "sbox bijective on all 32 inputs",
+        "12-round permutation fixture",
+        *(f"{name} {check}" for name in VARIANT_NAMES
+          for check in ("KAT digest (1089 records)", "KAT decrypts, and refuses each flipped tag")),
+    ]
+
     def test_passes_with_at_least_six_checks(self, capsys):
         rc = run_cli("selftest")
         assert rc == 0
-        out = capsys.readouterr().out
-        assert len([l for l in out.splitlines() if l.startswith("ok")]) >= 6
-        assert "0 failures" in out
+        out = capsys.readouterr().out.splitlines()
+        assert out == [f"ok   {name}" for name in self.CHECKS] + ["selftest: 6 checks, 0 failures"]
+
+    @pytest.mark.parametrize("name", VARIANT_NAMES)
+    def test_digests_pin_the_bundled_kat_files(self, name, kat_records):
+        """The self-test's inputs are each file's, and its digest is that of the file's CT fields."""
+        records = kat_records[name]
+        rule = [(bytes(range(p)), bytes(range(a))) for p in range(33) for a in range(33)]
+        assert [r.count for r in records] == list(range(1, len(rule) + 1))
+        assert all(r.key == r.nonce == bytes(range(16)) for r in records)
+        assert [(r.pt, r.ad) for r in records] == rule
+        digest = hashlib.sha256(b"".join(r.ct_and_tag for r in records)).hexdigest()
+        assert digest == cli._KAT_DIGESTS[name]
 
     def test_no_key_material_in_output(self, capsys):
         run_cli("selftest")

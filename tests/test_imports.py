@@ -53,8 +53,9 @@ def test_library_path_loads_no_dataclasses_typing_or_pathlib():
 
 
 def test_cli_import_loads_no_pathlib_or_tempfile():
+    # hashlib is the self-test's alone: the `kat` command must not pay for its digest
     loaded = run_child(
         "import sys, ascon_aead.cli; "
-        "print(' '.join(m for m in ('pathlib', 'tempfile') if m in sys.modules))"
+        "print(' '.join(m for m in ('pathlib', 'tempfile', 'hashlib') if m in sys.modules))"
     ).strip()
     assert loaded == "", f"loaded by the CLI import: {loaded}"

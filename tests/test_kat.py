@@ -5,7 +5,7 @@ from ascon_aead.aead import ASCON_128, ASCON_128A
 from ascon_aead.codec import hex_encode
 from ascon_aead.kat import KatParseError, KatRecord, KatReport, parse_kat_file, run_kat
 
-from conftest import PORTABLE_BODY, accel_available
+from conftest import PORTABLE_BODY, accel_available, run_selftest
 from mutants import BUG_MUTANTS, KERNEL_MUTANTS, UNCOMPLEMENTED_K2, use_kernel_mutant
 from oracles import serialize_records
 
@@ -234,11 +234,11 @@ class TestRunKat:
 
 class TestBugLedgerMutants:
     """Every catalogued implementation bug must be caught by the first KAT
-    record it can affect.  The mutants patch the Python modules, so they
-    run on the reference path."""
+    record it can affect, and by `selftest`.  The mutants patch the Python
+    modules, so they run on the reference path."""
 
     @pytest.mark.parametrize("name", sorted(BUG_MUTANTS))
-    def test_mutant_is_detected(self, name, kat_records, monkeypatch, pure_path):
+    def test_mutant_is_detected(self, name, kat_records, monkeypatch, capsys, pure_path):
         apply_bug, earliest = BUG_MUTANTS[name]
         head = kat_records["ascon128"][:2]
         assert run_kat(head, ASCON_128).failed == 0, "sanity: clean build passes"
@@ -248,6 +248,8 @@ class TestBugLedgerMutants:
         assert any(
             f.count == earliest and f.direction == "encrypt" for f in report.failures
         ), f"mutant {name!r} missed by record {earliest}"
+        rc, failed = run_selftest(capsys)
+        assert rc == 5 and failed, f"selftest missed mutant {name!r}"
 
     @pytest.mark.parametrize("name", sorted(BUG_MUTANTS))
     def test_mutant_detected_on_128a_too(self, name, kat_records, monkeypatch, pure_path):
@@ -267,7 +269,8 @@ KERNEL_CASES["uncomplemented k2"] = (UNCOMPLEMENTED_K2, 1)
     not accel_available(), reason="the compiled C kernel could not be built or loaded"
 )
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
-def test_kernel_mutant_is_detected(name, kat_records, monkeypatch, tmp_path, fresh_loader):
+def test_kernel_mutant_is_detected(name, kat_records, monkeypatch, capsys, tmp_path,
+                                   fresh_loader):
     """A bug compiled into the kernel fails the same KAT record as its Python twin, if any."""
     edit, earliest = KERNEL_CASES[name]
     use_kernel_mutant(monkeypatch, tmp_path, edit)
@@ -277,12 +280,14 @@ def test_kernel_mutant_is_detected(name, kat_records, monkeypatch, tmp_path, fre
     assert any(
         f.count == earliest and f.direction == "encrypt" for f in report.failures
     ), f"kernel mutant {name!r} missed by record {earliest}"
+    rc, failed = run_selftest(capsys)
+    assert rc == 5 and failed, f"selftest missed kernel mutant {name!r}"
 
 
 @pytest.mark.skipif(
     not accel_available(), reason="the compiled C kernel could not be built or loaded"
 )
-def test_portable_kernel_body_passes_both_kat_files(kat_records, monkeypatch, tmp_path,
+def test_portable_kernel_body_passes_both_kat_files(kat_records, monkeypatch, capsys, tmp_path,
                                                     fresh_loader):
     """The baseline body, which the loader passes over on an x86-64-v3 CPU, meets every vector."""
     from pathlib import Path
@@ -296,6 +301,7 @@ def test_portable_kernel_body_passes_both_kat_files(kat_records, monkeypatch, tm
     assert aead._accel_backend is _accel.load(), _accel.UNAVAILABLE_REASON
     assert _accel.LIBRARY.startswith(str(tmp_path / "cache"))
     assert b"arch_x86_64_v3" not in Path(_accel.LIBRARY).read_bytes()
+    assert run_selftest(capsys) == (0, [])
 
 
 def test_kernel_mutants_cover_every_bug_class():
