@@ -17,9 +17,11 @@ it in one call, a compiled copy of these phases that takes the variant's
 IV as its only parameter; otherwise they compose the phases here.
 `backend_info` says which of the two runs.
 
-Both check every argument.  On the kernel path a call meets one check, the
-binding's, which copies once a bytes-like argument that is not `bytes`; only
-when it refuses one does `_checked` run, to raise the error that names it.
+Both check every argument.  A `params` that is not a VariantParams never
+reaches the kernel: `_checked` raises TypeError for it on either path.
+Otherwise a kernel-path call meets one check, the binding's, which copies
+once a bytes-like argument that is not `bytes`; only when it refuses one
+does `_checked` run, to raise the error that names it.
 The kernel verifies the tag and zeroes failed plaintext.
 
 Neither path branches on, or indexes memory by, secret values in its
@@ -309,11 +311,14 @@ def encrypt(
 
     Every input may be any bytes-like object; anything else (a str, say)
     raises TypeError, and a key or nonce of the wrong length ValueError.
+    A `params` that is not a VariantParams raises TypeError on either backend.
     """
-    if _accel_backend or (_accel_backend is None and _get_accel()):  # resolved once
+    if isinstance(params, VariantParams) and (
+        _accel_backend or (_accel_backend is None and _get_accel())  # resolved once
+    ):
         try:
             return _accel_backend.encrypt(params._iv, key, nonce, associated_data, plaintext)
-        except (AttributeError, TypeError, ValueError):  # AttributeError: not a VariantParams
+        except (TypeError, ValueError):
             pass  # _checked raises the error that names the argument at fault
     key, nonce, associated_data, plaintext = _checked(
         _ENCRYPT_ARGS, params, key, nonce, associated_data, plaintext
@@ -339,14 +344,16 @@ def decrypt(
     AuthenticationFailure is raised and no plaintext leaves this function.
     Inputs are checked as in `encrypt`, and so is the tag's length.
     """
-    if _accel_backend or (_accel_backend is None and _get_accel()):
+    if isinstance(params, VariantParams) and (
+        _accel_backend or (_accel_backend is None and _get_accel())
+    ):
         try:
             plaintext = _accel_backend.decrypt(params._iv, key, nonce, associated_data,
                                                ciphertext, tag)
             if plaintext is None:
                 raise AuthenticationFailure("authentication failed")
             return plaintext
-        except (AttributeError, TypeError, ValueError):  # AttributeError: not a VariantParams
+        except (TypeError, ValueError):
             pass  # _checked raises the error that names the argument at fault
     key, nonce, associated_data, ciphertext, tag = _checked(
         _DECRYPT_ARGS, params, key, nonce, associated_data, ciphertext, tag

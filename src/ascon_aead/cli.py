@@ -8,6 +8,11 @@ Exit codes are a stable contract:
     4  authentication failure on decrypt
     5  verification failure (KAT mismatches, failed self-test)
 
+The parser refuses a missing key, nonce or input, clashing flags and a
+`--rounds` other than 6, 8 or 12: it prints the usage line and exits 2
+(`main` raises SystemExit(2)).  Rules it cannot state, such as `--ct`
+needing `--tag`, are checked after it and exit 2 as well.
+
 Keys ride in on flags or files, which is demo-grade handling: anything in
 argv is visible to other local processes.  No environment variables are
 read.  No key material is ever written to any output stream.
@@ -66,11 +71,13 @@ def _add_verbose(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_key_nonce_ad(parser: argparse.ArgumentParser, gen_nonce: bool) -> None:
-    key = parser.add_mutually_exclusive_group()
+    key = parser.add_mutually_exclusive_group(required=True)
     key.add_argument("--key", metavar="HEX", help="16-byte key as 32 hex chars")
     key.add_argument("--key-file", metavar="PATH", help="file holding the raw 16-byte key")
-    nonce = parser.add_mutually_exclusive_group()
-    nonce.add_argument("--nonce", metavar="HEX", help="16-byte nonce as 32 hex chars")
+    # encrypt needs --nonce or --gen-nonce, decrypt --nonce itself
+    nonce = parser.add_mutually_exclusive_group(required=True) if gen_nonce else parser
+    nonce.add_argument("--nonce", metavar="HEX", required=not gen_nonce,
+                       help="16-byte nonce as 32 hex chars")
     if gen_nonce:
         nonce.add_argument(
             "--gen-nonce",
@@ -93,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     enc = sub.add_parser("encrypt", help="encrypt and authenticate")
     _add_variant(enc)
     _add_key_nonce_ad(enc, gen_nonce=True)
-    src = enc.add_mutually_exclusive_group()
+    src = enc.add_mutually_exclusive_group(required=True)
     src.add_argument("--in", dest="in_path", metavar="PATH", help="plaintext file")
     src.add_argument("--pt", metavar="HEX", help="plaintext as hex")
     enc.add_argument(
@@ -107,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decrypt", help="verify and decrypt")
     _add_variant(dec)
     _add_key_nonce_ad(dec, gen_nonce=False)
-    src = dec.add_mutually_exclusive_group()
+    src = dec.add_mutually_exclusive_group(required=True)
     src.add_argument(
         "--in", dest="in_path", metavar="PATH", help="file holding ciphertext||tag"
     )
@@ -132,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--state", metavar="HEX", help="start state as 80 hex chars")
     tr.add_argument("--key", metavar="HEX", help="16-byte key (needs --unsafe-trace)")
     tr.add_argument("--nonce", metavar="HEX", help="16-byte nonce (needs --unsafe-trace)")
-    tr.add_argument("--rounds", type=int, default=12, help="6, 8, or 12 (default: 12)")
+    tr.add_argument("--rounds", type=int, choices=VALID_ROUNDS, default=12,
+                    help="rounds to run (default: 12)")
     tr.add_argument(
         "--unsafe-trace",
         action="store_true",
@@ -201,22 +209,16 @@ class _IoFailure(Exception):
 def _resolve_key(args) -> bytes:
     if args.key is not None:
         return _decode_flag("--key", args.key, aead.KEY_BYTES)
-    if args.key_file is not None:
-        data = _read_file("--key-file", args.key_file)
-        return _check_len("--key-file", data, aead.KEY_BYTES)
-    raise UsageError("a key is required: pass --key or --key-file")
+    data = _read_file("--key-file", args.key_file)
+    return _check_len("--key-file", data, aead.KEY_BYTES)
 
 
 def _resolve_nonce(args) -> bytes:
     if args.nonce is not None:
         return _decode_flag("--nonce", args.nonce, aead.NONCE_BYTES)
-    # only the encrypt parser defines gen_nonce
-    if getattr(args, "gen_nonce", False):
-        nonce = os.urandom(aead.NONCE_BYTES)
-        print(f"NONCE={hex_encode(nonce)}", file=sys.stderr)
-        return nonce
-    flags = "--nonce or --gen-nonce" if hasattr(args, "gen_nonce") else "--nonce"
-    raise UsageError(f"a nonce is required: pass {flags}")
+    nonce = os.urandom(aead.NONCE_BYTES)  # --gen-nonce, which only encrypt offers
+    print(f"NONCE={hex_encode(nonce)}", file=sys.stderr)
+    return nonce
 
 
 def _resolve_ad(args) -> bytes:
@@ -262,10 +264,8 @@ def cmd_encrypt(args) -> int:
     ad = _resolve_ad(args)
     if args.pt is not None:
         plaintext = _decode_flag("--pt", args.pt)
-    elif args.in_path is not None:
-        plaintext = _read_file("--in", args.in_path)
     else:
-        raise UsageError("an input is required: pass --pt or --in")
+        plaintext = _read_file("--in", args.in_path)
     _note(args, f"{params.name}: encrypting {len(plaintext)} bytes, ad {len(ad)} bytes")
     ciphertext, tag = aead.encrypt(params, key, nonce, ad, plaintext)
     if args.out is not None:
@@ -287,12 +287,10 @@ def cmd_decrypt(args) -> int:
         if args.tag is None:
             raise UsageError("--ct needs --tag")
         tag = _decode_flag("--tag", args.tag, aead.TAG_BYTES)
-    elif args.in_path is not None:
-        if args.tag is not None:
-            raise UsageError("--tag only applies to --ct; --in carries the tag inline")
-        ciphertext, tag = _read_sealed(args.in_path)
+    elif args.tag is not None:
+        raise UsageError("--tag only applies to --ct; --in carries the tag inline")
     else:
-        raise UsageError("an input is required: pass --in, or --ct with --tag")
+        ciphertext, tag = _read_sealed(args.in_path)
     _note(args, f"{params.name}: decrypting {len(ciphertext)} bytes, ad {len(ad)} bytes")
     try:
         plaintext = aead.decrypt(params, key, nonce, ad, ciphertext, tag)
@@ -325,8 +323,6 @@ def _format_state(state: State) -> str:
 
 
 def cmd_trace(args) -> int:
-    if args.rounds not in VALID_ROUNDS:
-        raise UsageError(f"--rounds must be 6, 8, or 12, got {args.rounds}")
     key = None
     if args.state is not None:
         if args.key is not None or args.nonce is not None:

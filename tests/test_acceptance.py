@@ -188,13 +188,27 @@ def test_7_cli_contract(tmp_path):
     assert cli("selftest").returncode == 0
     assert cli("kat", str(kat_path("ascon128"))).returncode == 0
 
-    # exit 2: usage errors
-    assert cli("encrypt", "--nonce", nonce, "--pt", "00").returncode == 2
-    assert cli("trace", "--state", "0" * 80, "--rounds", "5").returncode == 2
+    # exit 2: what the parser refuses (a missing key, nonce or input, a bad
+    # --rounds) prints its usage line; no refusal echoes the key
+    secret = "8899AABBCCDDEEFF0011223344556677"
+    for argv in (
+        ("encrypt", "--nonce", nonce, "--pt", "00"),
+        ("encrypt", "--key", secret, "--pt", "00"),
+        ("decrypt", "--key", secret, "--ct", "00", "--tag", "0" * 32),
+        ("encrypt", "--key", secret, "--nonce", nonce),
+        ("decrypt", "--key", secret, "--nonce", nonce),
+        ("trace", "--state", "0" * 80, "--rounds", "5"),
+        ("trace", "--key", secret, "--nonce", nonce, "--unsafe-trace", "--rounds", "7"),
+    ):
+        run = cli(*argv)
+        assert run.returncode == 2, argv
+        assert "usage: ascon-aead" in run.stderr, argv
+        assert secret not in run.stderr.upper(), argv
     short = tmp_path / "short.bin"
     short.write_bytes(b"tiny")
-    assert cli("decrypt", "--key", key, "--nonce", nonce,
-               "--in", str(short)).returncode == 2
+    run = cli("decrypt", "--key", secret, "--nonce", nonce, "--in", str(short))
+    assert run.returncode == 2
+    assert secret not in run.stderr.upper()
 
     # exit 3: I/O failures
     assert cli("encrypt", "--key", key, "--nonce", nonce,

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -116,6 +117,7 @@ class TestVariantParams:
         assert twin._iv == ASCON_128._iv
         assert variant_like(ASCON_128, name="other") != ASCON_128
         assert ASCON_128 != ASCON_128A
+        assert ASCON_128 != ("ASCON-128", 8, 6)  # a tuple of the same fields is no VariantParams
         assert len({ASCON_128, twin, ASCON_128A}) == 2
         assert repr(ASCON_128) == "VariantParams(name='ASCON-128', rate_bytes=8, rounds_b=6)"
 
@@ -551,12 +553,15 @@ class TestInputContract:
             assert type(direct.value) is type(info.value), direct.value
 
     def test_params_must_be_a_variant(self, backend):
-        for call in (lambda: encrypt("ascon128", KEY, NONCE, b"", b""),
-                     lambda: decrypt("ascon128", KEY, NONCE, b"", b"", bytes(16))):
-            with pytest.raises(TypeError) as info:
-                call()
-            assert str(info.value) == "params must be a VariantParams, not str"
-            assert _chain(info.value) == [info.value]
+        # a look-alike that carries the right IV is refused too, never run on the kernel
+        for params in ("ascon128", SimpleNamespace(_iv=ASCON_128._iv)):
+            for call in (lambda: encrypt(params, KEY, NONCE, b"", b""),
+                         lambda: decrypt(params, KEY, NONCE, b"", b"", bytes(16))):
+                with pytest.raises(TypeError) as info:
+                    call()
+                kind = type(params).__name__
+                assert str(info.value) == f"params must be a VariantParams, not {kind}"
+                assert _chain(info.value) == [info.value]
 
 
 _IV = ASCON_128._iv  # the kernel's whole parameter block
@@ -968,6 +973,27 @@ def test_kernel_fallback_keeps_pure_path_and_reason(
         "backend": "pure", "library": None, "unavailable_reason": _accel.UNAVAILABLE_REASON
     }
     assert list(cache.iterdir()) == [], "a failed build must leave no file behind"
+
+
+def test_unloadable_cached_library_keeps_pure_path_and_reason(
+    kat_records, monkeypatch, tmp_path, fresh_loader
+):
+    from ascon_aead import _accel
+    from ascon_aead.kat import run_kat
+
+    # a file at the cache path that is no library: it is not rebuilt, so it fails to load
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setattr(_accel, "_CACHE_DIR", cache)
+    planted = cache / _accel._library_name()
+    planted.write_bytes(b"not a shared library\n")
+    assert _accel.load() is None
+    assert _accel.UNAVAILABLE_REASON.startswith(f"cannot load {planted}: ")
+    subset = kat_records["ascon128"][::37]
+    report = run_kat(subset, ASCON_128)
+    assert (report.failed, report.passed) == (0, 2 * len(subset))
+    assert aead.backend_info()["backend"] == "pure"
+    assert list(cache.iterdir()) == [planted]
 
 
 @pytest.mark.parametrize("planted", ["world-writable", "symlink"])

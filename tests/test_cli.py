@@ -83,19 +83,22 @@ class TestEncrypt:
         assert out == f"CT=\nTAG={KAT1_TAG}\n"
 
     def test_missing_key_exits_2_naming_key(self, capsys):
-        rc = run_cli("encrypt", "--nonce", NONCE_HEX, "--pt", "00")
-        assert rc == 2
-        assert "key" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            run_cli("encrypt", "--nonce", NONCE_HEX, "--pt", "00")
+        assert info.value.code == 2
+        assert "one of the arguments --key --key-file is required" in capsys.readouterr().err
 
     def test_missing_nonce_exits_2(self, capsys):
-        rc = run_cli("encrypt", "--key", KEY_HEX, "--pt", "00")
-        assert rc == 2
-        assert "nonce" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            run_cli("encrypt", "--key", KEY_HEX, "--pt", "00")
+        assert info.value.code == 2
+        assert "one of the arguments --nonce --gen-nonce is required" in capsys.readouterr().err
 
     def test_missing_input_exits_2(self, capsys):
-        rc = run_cli("encrypt", "--key", KEY_HEX, "--nonce", NONCE_HEX)
-        assert rc == 2
-        assert "input" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            run_cli("encrypt", "--key", KEY_HEX, "--nonce", NONCE_HEX)
+        assert info.value.code == 2
+        assert "one of the arguments --in --pt is required" in capsys.readouterr().err
 
     def test_bad_key_hex_exits_2(self, capsys):
         rc = run_cli("encrypt", "--key", "xyz", "--nonce", NONCE_HEX, "--pt", "")
@@ -120,6 +123,12 @@ class TestEncrypt:
         rc = run_cli("encrypt", "--key", KEY_HEX, "--nonce", NONCE_HEX,
                      "--in", str(tmp_path / "absent.bin"))
         assert rc == 3
+
+    def test_unreadable_ad_file_exits_3_naming_it(self, tmp_path, capsys):
+        rc = run_cli("encrypt", "--key", KEY_HEX, "--nonce", NONCE_HEX, "--pt", "00",
+                     "--ad-file", str(tmp_path / "absent.bin"))
+        assert rc == 3
+        assert f"--ad-file: cannot read {tmp_path / 'absent.bin'}" in capsys.readouterr().err
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         rc = run_cli("encrypt", "--key", KEY_HEX, "--nonce", NONCE_HEX,
@@ -275,6 +284,25 @@ class TestDecrypt:
         assert rc == 2
         assert "--tag" in capsys.readouterr().err
 
+    def test_tag_with_in_exits_2(self, tmp_path, capsys):
+        _, enc = self._encrypt_file(tmp_path)
+        rc = run_cli("decrypt", "--key", KEY_HEX, "--nonce", NONCE_HEX, "--in", str(enc),
+                     "--tag", "0" * 32)
+        assert rc == 2
+        assert "--tag only applies to --ct" in capsys.readouterr().err
+
+    def test_missing_nonce_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("decrypt", "--key", KEY_HEX, "--ct", "00", "--tag", "0" * 32)
+        assert info.value.code == 2
+        assert "the following arguments are required: --nonce" in capsys.readouterr().err
+
+    def test_missing_input_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("decrypt", "--key", KEY_HEX, "--nonce", NONCE_HEX, "--tag", "0" * 32)
+        assert info.value.code == 2
+        assert "one of the arguments --in --ct is required" in capsys.readouterr().err
+
     def test_hex_mode_round_trip(self, capsys):
         rc = run_cli("encrypt", "--key", KEY_HEX, "--nonce", NONCE_HEX,
                      "--ad", "AABB", "--pt", "DEADBEEF")
@@ -299,8 +327,10 @@ class TestHexFileEquivalence:
         src = tmp_path / "payload.bin"
         src.write_bytes(payload)
         enc = tmp_path / "payload.enc"
+        ad = tmp_path / "ad.bin"
+        ad.write_bytes(bytes.fromhex("00112233"))
         rc = run_cli("encrypt", "--key", KEY_HEX, "--nonce", NONCE_HEX,
-                     "--ad", "00112233", "--in", str(src), "--out", str(enc))
+                     "--ad-file", str(ad), "--in", str(src), "--out", str(enc))
         assert rc == 0
         rc = run_cli("encrypt", "--key", KEY_HEX, "--nonce", NONCE_HEX,
                      "--ad", "00112233", "--pt", payload.hex())
@@ -393,9 +423,12 @@ class TestTrace:
         assert "round  6 post-linear" in out  # reduced schedule starts at index 6
 
     def test_invalid_rounds_exit_2(self, capsys):
-        rc = run_cli("trace", "--state", "0" * 80, "--rounds", "5")
-        assert rc == 2
-        assert "--rounds" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            run_cli("trace", "--state", "0" * 80, "--rounds", "5")
+        assert info.value.code == 2
+        assert "argument --rounds: invalid choice: 5 (choose from 6, 8, 12)" in (
+            capsys.readouterr().err
+        )
 
     def test_bad_state_length_exits_2(self, capsys):
         rc = run_cli("trace", "--state", "00")

@@ -84,6 +84,7 @@ class TestParser:
             (lambda t: t.replace("AD =\n", "AD =\nAD =\n", 1), "duplicate field"),
             (lambda t: t.replace("PT =\n", "", 1), "missing field PT"),
             (lambda t: t.replace("Count = 2", "Count = 9", 1), None),
+            (lambda t: t.replace("0E0F\nPT", "0E\nPT", 1), "record 1: nonce must be 16 bytes"),
         ],
     )
     def test_malformed_text_raises_with_line_number(self, mangle, expected):
@@ -226,6 +227,14 @@ class TestRunKat:
         assert report.failed == len(report.failures) == 2
         assert report.passed == 4
         assert report.summary() == "total=3 passed=4 failed=2"
+
+    def test_wrong_plaintext_names_pt(self, kat_records, monkeypatch):
+        good = kat_records["ascon128"][40]  # non-empty PT
+        wrong = bytes([good.pt[0] ^ 1]) + good.pt[1:]
+        monkeypatch.setattr(aead, "decrypt", lambda *args: wrong)
+        report = run_kat([good], ASCON_128)
+        assert report.lines()[0] == f"FAIL count={good.count} dir=decrypt field=PT"
+        assert report.failed == 1
 
     def test_wrong_variant_fails_loudly(self, kat_records):
         report = run_kat(kat_records["ascon128"][:3], ASCON_128A)
