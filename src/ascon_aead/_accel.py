@@ -13,12 +13,13 @@ source only, as CPython's int operations cost more as digit counts grow.
 `_accel.c` is plain C.  `_kernelmodule.c` is its CPython binding, the
 module `ascon_aead._kernel`, with one function per direction; its header
 says what it checks and in which order, how it takes arguments, and when
-it releases the GIL.  Its checks are a kernel-path call's only ones; aead
-names an argument it refuses.  decrypt takes the received tag: the kernel
-compares it in constant time and, when it fails, zeroes the plaintext, and
-decrypt returns None.  The kernel's only parameter is the variant's
-8-byte IV, which VariantParams derives once (`_iv`); the kernel reads the
-rate and the data-phase rounds from it, as laid out in `_accel.c`.
+it releases the GIL.  Its checks are a kernel-path call's only ones: it
+refuses an argument with the error that aead's pure path raises for it, and
+aead passes that on.  decrypt takes the received tag: the kernel compares
+it in constant time and, when it fails, zeroes the plaintext, and decrypt
+returns None.  The kernel's only parameter is the variant's 8-byte IV,
+which VariantParams derives once (`_iv`); the kernel reads the rate and the
+data-phase rounds from it, as laid out in `_accel.c`.
 
 The one source gives two bodies of the kernel where the toolchain can make
 them (x86-64 ELF with glibc, and gcc 12 or later): one for baseline x86-64
@@ -45,9 +46,10 @@ directory next to this file, or, when that is not writable, a private
 per-user directory under the system temporary directory.  Interpreters
 with one ABI tag share one build, and only a compile looks up where the
 CPython headers are.  Later processes load the cached module without
-compiling.  Right after a compile, the superseded builds for this ABI tag
-in the same directory are deleted, so a process of an older source
-revision in the same checkout may then have to compile its own build again.
+compiling, and compile over one that fails to load.  Right after a compile,
+the superseded builds for this ABI tag in the same directory are deleted,
+so a process of an older source revision in the same checkout may then
+have to compile its own build again.
 """
 
 from __future__ import annotations
@@ -92,16 +94,14 @@ def load():
 
     Only the expected failures fall back to the pure path: no compiler on
     PATH, a failed compile (no CPython headers, say), no usable cache
-    directory, or a library the interpreter cannot load.  Their reason is
+    directory, or a fresh build the interpreter cannot load.  Their reason is
     kept in UNAVAILABLE_REASON.  Anything else is a fault and propagates.
     """
     global _kernel, LIBRARY, UNAVAILABLE_REASON
     with _lock:
         if _kernel is None and UNAVAILABLE_REASON is None:
             try:
-                path = _library()
-                _kernel = _import(path)
-                LIBRARY = path
+                _kernel, LIBRARY = _library()
             except _Unavailable as exc:
                 UNAVAILABLE_REASON = str(exc)
         return _kernel
@@ -134,16 +134,20 @@ def _library_name() -> str:
     return f"_accel-{source_hash(key.encode()).hex()}{_EXT_SUFFIX}"
 
 
-def _library() -> str:
-    """The built kernel, from the first usable cache directory; compiled there if absent."""
+def _library() -> tuple:
+    """The kernel and its path, from the first usable cache; compiled if absent or unloadable."""
     name = _library_name()
     problems = []
     for directory in (_package_cache, _private_temp_dir):
         try:
             path = os.path.join(directory(), name)
-            if not os.path.isfile(path):
-                _compile(path)
-            return path
+            if os.path.isfile(path):
+                try:
+                    return _import(path), path
+                except _Unavailable:  # truncated, say, or built against another libc
+                    pass
+            _compile(path)
+            return _import(path), path
         except OSError as exc:  # the directory cannot be created or written
             problems.append(str(exc))
     raise _Unavailable(f"no writable cache directory: {'; '.join(problems)}")

@@ -13,8 +13,9 @@
  * the rest; then the key, nonce and tag must be 16 bytes and `params` 8; last,
  * `params` must be the IV laid out in _accel.c, with a rate and data rounds
  * the kernel accepts.  Each fault raises TypeError or ValueError, so no call
- * makes the kernel overrun a buffer.  The checks branch on public types and
- * lengths only, and name no input bytes.
+ * makes the kernel overrun a buffer; the error is the one _checked raises on
+ * the pure path, with aead's argument names, and aead passes it on.  The
+ * checks branch on public types and lengths only, and name no input bytes.
  *
  * The GIL is released while the kernel runs only when `ad` and `data` come to
  * GIL_MINSIZE bytes or more, as hashlib does for its HASHLIB_GIL_MINSIZE.
@@ -53,7 +54,9 @@ __attribute__((always_inline))
 #endif
 static inline PyObject *run(int decrypting, PyObject *const *given, Py_ssize_t nargs)
 {
-    static const char *const names[ARGS] = {"params", "key", "nonce", "ad", "data", "tag"};
+    static const char *const names[2][ARGS] = {
+        {"params", "key", "nonce", "associated_data", "plaintext", "tag"},
+        {"params", "key", "nonce", "associated_data", "ciphertext", "tag"}};
     static const Py_ssize_t sizes[ARGS] = {PARAMS_BYTES, KEY_BYTES, NONCE_BYTES, -1, -1, TAG_BYTES};
     PyObject *args[ARGS], *out = NULL, *tag = NULL, *result = NULL;
     PyThreadState *released = NULL;
@@ -68,8 +71,11 @@ static inline PyObject *run(int decrypting, PyObject *const *given, Py_ssize_t n
         if (PyBytes_CheckExact(args[i]))
             continue;
         if (!PyObject_CheckBuffer(given[i])) { /* first, as PyBytes_FromObject takes lists too */
-            PyErr_Format(PyExc_TypeError, "%s must be bytes-like, not %.100s", names[i],
-                         Py_TYPE(given[i])->tp_name);
+            PyObject *kind = PyObject_GetAttrString((PyObject *)Py_TYPE(given[i]), "__name__");
+            if (kind != NULL) /* type(value).__name__, as _checked words it */
+                PyErr_Format(PyExc_TypeError, "%s must be a bytes-like object, not %S",
+                             names[decrypting][i], kind);
+            Py_XDECREF(kind);
             goto done;
         }
         if ((args[i] = PyBytes_FromObject(given[i])) == NULL)
@@ -78,8 +84,8 @@ static inline PyObject *run(int decrypting, PyObject *const *given, Py_ssize_t n
     }
     for (i = 0; i < want; i++)
         if (sizes[i] >= 0 && PyBytes_GET_SIZE(args[i]) != sizes[i]) {
-            PyErr_Format(PyExc_ValueError, "%s must be %zd bytes, got %zd", names[i], sizes[i],
-                         PyBytes_GET_SIZE(args[i]));
+            PyErr_Format(PyExc_ValueError, "%s must be %zd bytes, got %zd", names[decrypting][i],
+                         sizes[i], PyBytes_GET_SIZE(args[i]));
             goto done;
         }
     if ((ARG(0)[1] != 64 && ARG(0)[1] != 128) ||

@@ -17,12 +17,11 @@ it in one call, a compiled copy of these phases that takes the variant's
 IV as its only parameter; otherwise they compose the phases here.
 `backend_info` says which of the two runs.
 
-Both check every argument.  A `params` that is not a VariantParams never
-reaches the kernel: `_checked` raises TypeError for it on either path.
-Otherwise a kernel-path call meets one check, the binding's, which copies
-once a bytes-like argument that is not `bytes`; only when it refuses one
-does `_checked` run, to raise the error that names it.
-The kernel verifies the tag and zeroes failed plaintext.
+Each backend checks every argument once, and both raise the same errors,
+which name the first argument at fault.  A `params` that is not a
+VariantParams never reaches the kernel: `_checked`, the pure path's check,
+refuses it on either.  The kernel verifies the tag and zeroes failed
+plaintext; its binding copies once a bytes-like argument that is not `bytes`.
 
 Neither path branches on, or indexes memory by, secret values in its
 source, but only the kernel is constant-time: the phases here compute on
@@ -316,10 +315,7 @@ def encrypt(
     if isinstance(params, VariantParams) and (
         _accel_backend or (_accel_backend is None and _get_accel())  # resolved once
     ):
-        try:
-            return _accel_backend.encrypt(params._iv, key, nonce, associated_data, plaintext)
-        except (TypeError, ValueError):
-            pass  # _checked raises the error that names the argument at fault
+        return _accel_backend.encrypt(params._iv, key, nonce, associated_data, plaintext)
     key, nonce, associated_data, plaintext = _checked(
         _ENCRYPT_ARGS, params, key, nonce, associated_data, plaintext
     )
@@ -347,14 +343,10 @@ def decrypt(
     if isinstance(params, VariantParams) and (
         _accel_backend or (_accel_backend is None and _get_accel())
     ):
-        try:
-            plaintext = _accel_backend.decrypt(params._iv, key, nonce, associated_data,
-                                               ciphertext, tag)
-            if plaintext is None:
-                raise AuthenticationFailure("authentication failed")
-            return plaintext
-        except (TypeError, ValueError):
-            pass  # _checked raises the error that names the argument at fault
+        plaintext = _accel_backend.decrypt(params._iv, key, nonce, associated_data, ciphertext, tag)
+        if plaintext is None:
+            raise AuthenticationFailure("authentication failed")
+        return plaintext
     key, nonce, associated_data, ciphertext, tag = _checked(
         _DECRYPT_ARGS, params, key, nonce, associated_data, ciphertext, tag
     )

@@ -149,7 +149,10 @@ def parse_kat_file(text: str) -> list[KatRecord]:
         if name == "Count":
             if not (value.isascii() and value.isdigit()):
                 raise KatParseError(f"invalid count {value!r}", line_number)
-            count = fields[name] = int(value)
+            try:
+                count = fields[name] = int(value)
+            except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+                raise KatParseError(f"invalid count of {len(value)} digits", line_number) from None
             if count != 1 and not records:
                 raise KatParseError(f"counts must start at 1, got {count}", line_number)
         else:

@@ -10,10 +10,11 @@ runtimes preloaded:
 For both variants, both directions and message lengths on both sides of
 the module's GIL threshold, it passes each argument as every bytes-like
 kind, which must give the all-`bytes` result, and as every value the
-module refuses, which must raise the kind of error the pure path raises
-for it.  A read or write outside a buffer, or a reference dropped twice,
-stops the run.  It prints the number of cases and exits 0 when every case
-passed.  test_aead.py's bytes-like test draws from the same argument kinds."""
+module refuses, which must raise the error the pure path raises for it:
+the same type with the same message.  A read or write outside a buffer,
+or a reference dropped twice, stops the run.  It prints the number of
+cases and exits 0 when every case passed.  test_aead.py's bytes-like test
+draws from the same argument kinds."""
 
 import sys
 from importlib.machinery import ExtensionFileLoader, ModuleSpec
@@ -83,9 +84,9 @@ def main(path: str) -> int:
                             ok = got == expected
                         elif position == 0:  # aead takes a VariantParams, not the IV
                             ok = type(got) is tuple and got[0] in (TypeError, ValueError)
-                        else:  # the kind of error aead raises on the pure path
-                            ok = type(got) is tuple and got[0] == outcome(
-                                lambda: getattr(aead, direction)(params, *changed[1:]))[0]
+                        else:  # the error aead raises on the pure path, word for word
+                            ok = type(got) is tuple and got == outcome(
+                                lambda: getattr(aead, direction)(params, *changed[1:]))
                         if not ok:
                             print(f"{direction} {params.name} {length} B, argument {position}:"
                                   f" {got!r}", file=sys.stderr)

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from collections import deque
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -467,9 +468,10 @@ class TestInputContract:
                 assert outcome(lambda: call(params, *args)) == got
 
     def test_plain_bytes_make_one_binding_call_each(self, backend, binding_calls, monkeypatch):
-        # and so does every other bytes-like kind; on the kernel path no check
-        # in Python: the binding's is the only one; and on either path the
-        # resolved backend is read without calling _get_accel
+        # and so does every other bytes-like kind, and every refused argument;
+        # on the kernel path no check in Python: the binding's is the only
+        # one; and on either path the resolved backend is read without
+        # calling _get_accel
         checked, lookups = [], []
         check, get_accel = aead._checked, aead._get_accel
         monkeypatch.setattr(aead, "_checked", lambda *args: checked.append(args) or check(*args))
@@ -482,10 +484,25 @@ class TestInputContract:
         assert binding_calls == ([(ct, tag)] + [(ct, tag), b"message"] * len(BYTES_LIKE)
                                  if backend == "kernel" else [])
         assert len(checked) == (0 if backend == "kernel" else calls)
+        # a str at every position of both directions, and a short key, nonce or tag
+        refused = 0
+        for call, args in ((encrypt, [KEY, NONCE, b"ad", b"message"]),
+                           (decrypt, [KEY, NONCE, b"ad", ct, tag])):
+            for position, value in enumerate(args):
+                wrong = ["s" * len(value)] + ([value[:-1]] if len(value) == 16 else [])
+                for changed in wrong:
+                    with pytest.raises((TypeError, ValueError)):
+                        call(ASCON_128, *args[:position], changed, *args[position + 1:])
+                    refused += 1
+        assert refused == 14  # encrypt: 4 str, 2 short; decrypt: 5 str, 3 short
+        assert len(binding_calls) == (calls + refused if backend == "kernel" else 0)
+        assert len(checked) == (0 if backend == "kernel" else calls + refused)
         assert lookups == []
 
     @pytest.mark.parametrize("position", range(6))
     def test_str_is_rejected_by_name_without_key_bytes(self, backend, binding_calls, position):
+        # On the kernel path the one binding call raises, and the caller gets
+        # that very exception, with nothing chained to it.
         names = ("key", "nonce", "associated_data", "ciphertext", "tag")
         secret = "k" * 16
         args = [KEY, NONCE, b"", b"", bytes(16)]
@@ -497,15 +514,17 @@ class TestInputContract:
             call, name = lambda: decrypt(ASCON_128, *args), names[position]
         with pytest.raises(TypeError) as info:
             call()
-        assert name in str(info.value)
-        assert secret not in str(info.value)
-        assert all(link is not call for link in _chain(info.value) for call in binding_calls)
-        assert len(binding_calls) == (backend == "kernel")
+        assert str(info.value) == f"{name} must be a bytes-like object, not str"
+        assert secret not in str(info.value) and KEY.hex() not in str(info.value)
+        if backend == "kernel":
+            assert binding_calls == [info.value]
+            assert (info.value.__cause__, info.value.__context__) == (None, None)
 
     @pytest.mark.parametrize("short", ["key", "nonce", "tag"])
     def test_short_inputs_never_reach_the_kernel(self, backend, binding_calls, short):
         # On the kernel path the binding refuses a short input before the
-        # kernel runs; the caller then sees aead's own error, not the binding's.
+        # kernel runs, and the caller gets the binding's error as it is: one
+        # call each, which raised and returned nothing.
         inputs = {"key": KEY, "nonce": NONCE, "tag": bytes(16)}
         inputs[short] = bytes(15)
         errors = []
@@ -518,10 +537,10 @@ class TestInputContract:
             errors.append(info.value)
         for error in errors:
             assert str(error) == f"{short} must be 16 bytes, got 15"
-            assert all(link is not call for link in _chain(error) for call in binding_calls)
-        # each call went into the binding once, which raised and returned nothing
-        assert len(binding_calls) == (len(errors) if backend == "kernel" else 0)
-        assert all(isinstance(call, ValueError) for call in binding_calls)
+            assert KEY.hex() not in str(error)
+        if backend == "kernel":
+            assert binding_calls == errors
+            assert all(_chain(error) == [error] for error in errors)
 
     @pytest.mark.parametrize("faults, message", [
         pytest.param({"key": bytes(15), "nonce": "n" * 16},
@@ -537,6 +556,9 @@ class TestInputContract:
         pytest.param({"key": bytearray(KEY), "associated_data": [0] * 16},
                      "associated_data must be a bytes-like object, not list",
                      id="bytearray-key-list-ad"),
+        # a C type whose tp_name is "collections.deque": the error gives __name__
+        pytest.param({"ciphertext": deque()},
+                     "ciphertext must be a bytes-like object, not deque", id="deque-ct"),
         pytest.param({"key": bytearray(KEY), "nonce": bytes(15), "associated_data": [0] * 16},
                      "associated_data must be a bytes-like object, not list",
                      id="bytearray-key-short-nonce-list-ad"),
@@ -547,10 +569,10 @@ class TestInputContract:
         with pytest.raises((TypeError, ValueError)) as info:
             decrypt(ASCON_128, **args)
         assert str(info.value) == message
-        if backend == "kernel":  # the binding on its own keeps the same order
+        if backend == "kernel":  # the binding on its own keeps the same order and words
             with pytest.raises((TypeError, ValueError)) as direct:
                 aead._get_accel().decrypt(ASCON_128._iv, *args.values())
-            assert type(direct.value) is type(info.value), direct.value
+            assert (type(direct.value), str(direct.value)) == (type(info.value), message)
 
     def test_params_must_be_a_variant(self, backend):
         # a look-alike that carries the right IV is refused too, never run on the kernel
@@ -574,12 +596,19 @@ def _iv_with(index: int, value: int) -> bytes:
     return bytes(iv)
 
 
+#: The name that the module's errors give each argument: aead's own
+KERNEL_ARG_NAMES = {
+    "encrypt": ("params", "key", "nonce", "associated_data", "plaintext"),
+    "decrypt": ("params", "key", "nonce", "associated_data", "ciphertext", "tag"),
+}
 #: case -> (argument position, value, error, the text that names its reason)
-#: for a direct call of the kernel module.  An error of None marks a value the
+#: for a direct call of the kernel module, where {name} stands for the
+#: argument's name in KERNEL_ARG_NAMES.  An error of None marks a value the
 #: module takes: a bytes-like kind that it reads as the bytes the argument holds.
 KERNEL_ARGS = {
     # every refused type at every position; PyBytes_FromObject alone would take the list
-    **{f"{arg}-{kind}": (position, value, TypeError, f"{arg} must be bytes-like, not {name}")
+    **{f"{arg}-{kind}": (position, value, TypeError,
+                         f"{{name}} must be a bytes-like object, not {name}")
        for position, arg in enumerate(("params", "key", "nonce", "ad", "data", "tag"))
        for kind, name, value in (("str", "str", "s" * 16), ("list", "list", [0] * 16),
                                  ("none", "NoneType", None))},
@@ -854,7 +883,7 @@ class TestAcceleratedPath:
             args[position] = value
             with pytest.raises(error) as info:
                 call(*args)
-            assert reason in str(info.value)
+            assert reason.format(name=KERNEL_ARG_NAMES[direction][position]) in str(info.value)
             assert KEY.hex() not in str(info.value)
         with pytest.raises(TypeError, match="expected"):
             call(*args[:-1])
@@ -975,25 +1004,60 @@ def test_kernel_fallback_keeps_pure_path_and_reason(
     assert list(cache.iterdir()) == [], "a failed build must leave no file behind"
 
 
-def test_unloadable_cached_library_keeps_pure_path_and_reason(
-    kat_records, monkeypatch, tmp_path, fresh_loader
-):
+def _planted_cache(monkeypatch, tmp_path):
+    """An empty cache directory with a file that is no library at the kernel's path."""
     from ascon_aead import _accel
-    from ascon_aead.kat import run_kat
 
-    # a file at the cache path that is no library: it is not rebuilt, so it fails to load
     cache = tmp_path / "cache"
     cache.mkdir()
     monkeypatch.setattr(_accel, "_CACHE_DIR", cache)
     planted = cache / _accel._library_name()
     planted.write_bytes(b"not a shared library\n")
+    return planted
+
+
+def test_unloadable_cached_library_is_compiled_over(
+    kat_records, monkeypatch, tmp_path, fresh_loader
+):
+    from ascon_aead import _accel
+    from ascon_aead.kat import run_kat
+
+    planted = _planted_cache(monkeypatch, tmp_path)
+    assert _accel.load() is not None, _accel.UNAVAILABLE_REASON
+    assert (_accel.LIBRARY, _accel.UNAVAILABLE_REASON) == (str(planted), None)
+    subset = kat_records["ascon128"][::37]
+    report = run_kat(subset, ASCON_128)
+    assert (report.failed, report.passed) == (0, 2 * len(subset))
+    assert aead.backend_info()["backend"] == "kernel"
+    assert list(planted.parent.iterdir()) == [planted]
+
+
+def test_unloadable_cached_library_keeps_pure_path_and_reason(
+    kat_records, monkeypatch, tmp_path, fresh_loader
+):
+    # a cached build that fails to load, and a fresh one that fails too: one
+    # compile, then the pure path, with the fresh build's reason
+    from ascon_aead import _accel
+    from ascon_aead.kat import run_kat
+
+    planted = _planted_cache(monkeypatch, tmp_path)
+    compiles, loads = [], []
+    compile_ = _accel._compile
+    monkeypatch.setattr(_accel, "_compile", lambda path: compiles.append(path) or compile_(path))
+
+    def refuse(path):
+        loads.append(path)
+        raise _accel._Unavailable(f"cannot load {path}: refusal {len(loads)}")
+
+    monkeypatch.setattr(_accel, "_import", refuse)
     assert _accel.load() is None
-    assert _accel.UNAVAILABLE_REASON.startswith(f"cannot load {planted}: ")
+    assert (compiles, loads) == ([str(planted)], [str(planted)] * 2)
+    assert _accel.UNAVAILABLE_REASON == f"cannot load {planted}: refusal 2"
     subset = kat_records["ascon128"][::37]
     report = run_kat(subset, ASCON_128)
     assert (report.failed, report.passed) == (0, 2 * len(subset))
     assert aead.backend_info()["backend"] == "pure"
-    assert list(cache.iterdir()) == [planted]
+    assert list(planted.parent.iterdir()) == [planted]
 
 
 @pytest.mark.parametrize("planted", ["world-writable", "symlink"])

@@ -375,6 +375,13 @@ class TestKatCommand:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_count_too_long_for_int_exits_2_with_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("Count = 1" + "0" * 5000 + "\n")
+        rc = run_cli("kat", str(bad))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: line 1: invalid count of 5001 digits\n"
+
     def test_missing_file_exits_3(self, tmp_path):
         rc = run_cli("kat", str(tmp_path / "nope.txt"))
         assert rc == 3

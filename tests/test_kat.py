@@ -78,6 +78,9 @@ class TestParser:
             (lambda t: t.replace("Count = 1", "Count = 0_1", 1), "invalid count '0_1'"),
             (lambda t: t.replace("Count = 1", "Count = +1", 1), "invalid count '+1'"),
             (lambda t: t.replace("Count = 1", "Count = \u0661", 1), "invalid count '\u0661'"),
+            # more digits than int() converts from text (4300 by default)
+            (lambda t: t.replace("Count = 1", "Count = 1" + "0" * 5000, 1),
+             "line 1: invalid count of 5001 digits"),
             (lambda t: t.replace("Nonce = 00", "Nonce = 0G", 1), "bad hex in Nonce"),
             (lambda t: t.replace("AD =\n", "AD = 0\n", 1), "bad hex in AD"),
             (lambda t: t.replace("PT =\n", "Spam =\n", 1), "unknown field"),
