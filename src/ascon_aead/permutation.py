@@ -3,6 +3,8 @@
 The state is five unsigned 64-bit words s0..s4.  Bit j of the words
 (s0..s4) forms slice j, a 5-bit S-box input with the s0 bit as x0, so every
 word-wide Boolean operation below acts on all 64 S-box instances at once.
+The round is defined once, by `_sbox` and `_linear` over five int words;
+`permute` keeps the state in five locals, and the layer functions wrap them.
 No function here branches on, or indexes memory by, state-derived values;
 the S-box is evaluated purely as XOR/AND/NOT word operations.  That holds
 at the source level only: CPython's int operations cost more as the words'
@@ -30,8 +32,9 @@ VALID_ROUNDS = (6, 8, 12)
 class State(namedtuple("State", "s0 s1 s2 s3 s4")):
     """The permutation state as five 64-bit words s0..s4; a plain immutable value.
 
-    All word arithmetic is modulo 2**64 and strictly unsigned; functions in
-    this module keep every word in 0..2**64-1.
+    All word arithmetic is modulo 2**64 and strictly unsigned.  `permute`
+    refuses a word outside 0..2**64-1; given words in it, every function
+    in this module returns words in it.
     """
 
     __slots__ = ()
@@ -48,23 +51,8 @@ class State(namedtuple("State", "s0 s1 s2 s3 s4")):
         return b"".join(w.to_bytes(8, "big") for w in self)
 
 
-def rotr64(x: int, r: int) -> int:
-    """Rotate the 64-bit word x right by r bit positions, wrapping; r = 64 is the identity.
-
-    Every caller passes a literal.  A shift by r < 0 or 64 - r < 0 raises ValueError.
-    """
-    return ((x >> r) | (x << (64 - r))) & MASK64
-
-
-def substitution_layer(state: State) -> State:
-    """Apply the 5-bit S-box to all 64 bit-slices simultaneously.
-
-    This is the circuit form of the S-box: the same Boolean ops a hardware
-    implementation would use, lifted to 64-bit words.  Equivalent to looking
-    up each slice in the 32-entry S-box table, but with no table and no
-    secret-dependent memory access.
-    """
-    x0, x1, x2, x3, x4 = state
+def _sbox(x0: int, x1: int, x2: int, x3: int, x4: int) -> tuple[int, int, int, int, int]:
+    """The 5-bit S-box on all 64 bit-slices at once, as a Boolean circuit on words (no table)."""
     x0 ^= x4
     x4 ^= x3
     x2 ^= x1
@@ -78,23 +66,31 @@ def substitution_layer(state: State) -> State:
     x2 ^= t3
     x3 ^= t4
     x4 ^= t0
-    x1 ^= x0
-    x0 ^= x4
-    x3 ^= x2
-    x2 ^= MASK64
-    return State(x0, x1, x2, x3, x4)
+    return x0 ^ x4, x1 ^ x0, x2 ^ MASK64, x3 ^ x2, x4
+
+
+def _linear(x0: int, x1: int, x2: int, x3: int, x4: int) -> tuple[int, int, int, int, int]:
+    """Diffuse each word: x ^ rotr(x, r1) ^ rotr(x, r2), pairs per ROTATIONS.
+
+    rotr(x, r) is written x >> r | x << (64 - r), and each word is masked once.
+    """
+    return (
+        (x0 ^ (x0 >> 19 | x0 << (64 - 19)) ^ (x0 >> 28 | x0 << (64 - 28))) & MASK64,
+        (x1 ^ (x1 >> 61 | x1 << (64 - 61)) ^ (x1 >> 39 | x1 << (64 - 39))) & MASK64,
+        (x2 ^ (x2 >> 1 | x2 << (64 - 1)) ^ (x2 >> 6 | x2 << (64 - 6))) & MASK64,
+        (x3 ^ (x3 >> 10 | x3 << (64 - 10)) ^ (x3 >> 17 | x3 << (64 - 17))) & MASK64,
+        (x4 ^ (x4 >> 7 | x4 << (64 - 7)) ^ (x4 >> 41 | x4 << (64 - 41))) & MASK64,
+    )
+
+
+def substitution_layer(state: State) -> State:
+    """Apply the 5-bit S-box to all 64 bit-slices of `state` simultaneously."""
+    return State(*_sbox(*state))
 
 
 def linear_layer(state: State) -> State:
-    """Diffuse each word: s_i ^= rotr64(s_i, r1) ^ rotr64(s_i, r2), pairs per ROTATIONS."""
-    s0, s1, s2, s3, s4 = state
-    return State(
-        s0 ^ rotr64(s0, 19) ^ rotr64(s0, 28),
-        s1 ^ rotr64(s1, 61) ^ rotr64(s1, 39),
-        s2 ^ rotr64(s2, 1) ^ rotr64(s2, 6),
-        s3 ^ rotr64(s3, 10) ^ rotr64(s3, 17),
-        s4 ^ rotr64(s4, 7) ^ rotr64(s4, 41),
-    )
+    """Diffuse each word of `state` by its two right rotations per ROTATIONS."""
+    return State(*_linear(*state))
 
 
 def permute(state: State, rounds: int = 12, observe=None) -> State:
@@ -104,19 +100,25 @@ def permute(state: State, rounds: int = 12, observe=None) -> State:
     schedule, so the 6-round permutation runs rounds 6..11.  When `observe`
     is given, it is called as observe(round_index, step, state) after each
     step, with step "post-constant", "post-sbox" or "post-linear" and
-    round_index the position in the 12-round schedule.
+    round_index the position in the 12-round schedule.  A round count that
+    is not an int raises TypeError, and one not in VALID_ROUNDS, or a word
+    outside 0..2**64-1, raises ValueError.
     """
+    if not isinstance(rounds, int):
+        raise TypeError(f"rounds must be an int, not {type(rounds).__name__}")
     if rounds not in VALID_ROUNDS:
         raise ValueError(f"round count must be one of {VALID_ROUNDS}, got {rounds}")
-    s = state
+    x0, x1, x2, x3, x4 = state
+    if not 0 <= x0 | x1 | x2 | x3 | x4 <= MASK64:
+        raise ValueError("state words must be in 0..2**64-1")  # no value: words can be secret
     for index in range(12 - rounds, 12):
-        s = State(s.s0, s.s1, s.s2 ^ ROUND_CONSTANTS[index], s.s3, s.s4)
+        x2 ^= ROUND_CONSTANTS[index]
         if observe is not None:
-            observe(index, "post-constant", s)
-        s = substitution_layer(s)
+            observe(index, "post-constant", State(x0, x1, x2, x3, x4))
+        x0, x1, x2, x3, x4 = _sbox(x0, x1, x2, x3, x4)
         if observe is not None:
-            observe(index, "post-sbox", s)
-        s = linear_layer(s)
+            observe(index, "post-sbox", State(x0, x1, x2, x3, x4))
+        x0, x1, x2, x3, x4 = _linear(x0, x1, x2, x3, x4)
         if observe is not None:
-            observe(index, "post-linear", s)
-    return s
+            observe(index, "post-linear", State(x0, x1, x2, x3, x4))
+    return State(x0, x1, x2, x3, x4)

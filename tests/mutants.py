@@ -85,16 +85,17 @@ def kernel_copy(directory: Path, edit=None) -> Path:
 #: name -> (apply(monkeypatch), earliest KAT count whose CT must diverge)
 BUG_MUTANTS = {
     "wrong round constants": (
-        _edit(permutation, "permute", ("s.s2 ^ ROUND_CONSTANTS[index]", "s.s2 ^ (index + 1)")),
+        _edit(permutation, "permute", ("x2 ^= ROUND_CONSTANTS[index]", "x2 ^= index + 1")),
         1,
     ),
     "left instead of right rotation": (
-        _edit(permutation, "rotr64",
-              ("((x >> r) | (x << (64 - r)))", "((x << r) | (x >> (64 - r)))")),
+        _edit(permutation, "_linear",
+              *((f"x{i} >> {r} | x{i} << (64 - {r})", f"x{i} << {r} | x{i} >> (64 - {r})")
+                for i, pair in enumerate(permutation.ROTATIONS) for r in pair)),
         1,
     ),
     "missing linear-layer input XOR": (
-        _edit(permutation, "linear_layer", *((f"s{i} ^ rotr64(", "rotr64(") for i in range(5))),
+        _edit(permutation, "_linear", *((f"(x{i} ^ (x{i} >>", f"((x{i} >>") for i in range(5))),
         1,
     ),
     "missing 0*||K initialization XOR": (

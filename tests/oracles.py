@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from ascon_aead.codec import hex_encode
 from ascon_aead.kat import KatRecord
-from ascon_aead.permutation import State, substitution_layer
+from ascon_aead.permutation import ROTATIONS, ROUND_CONSTANTS, State, substitution_layer
 
 # The 5-bit S-box as a lookup table, transcribed from the cipher's reference
 # specification (input x0..x4 with x0 the most significant bit).  The
@@ -30,6 +30,31 @@ def sbox_slicewise(state: State) -> State:
         for i in range(5):
             words[i] |= ((image >> (4 - i)) & 1) << j
     return State(*words)
+
+
+def rotate_right(word: int, amount: int) -> int:
+    """Rotate a 64-bit word right by `amount` (0..64) as a string of its bits."""
+    bits = f"{word:064b}"
+    return int(bits[64 - amount :] + bits[: 64 - amount], 2)
+
+
+def linear_from_table(state: State) -> State:
+    """The linear layer straight from the ROTATIONS table: each word XORed
+    with its two right rotations."""
+    return State(*(w ^ rotate_right(w, r1) ^ rotate_right(w, r2)
+                   for w, (r1, r2) in zip(state, ROTATIONS)))
+
+
+def round_steps(state: State, rounds: int):
+    """Yield (round index, step, state) after each step of `rounds` rounds,
+    built from ROUND_CONSTANTS and the two layer oracles."""
+    for index in range(12 - rounds, 12):
+        state = state._replace(s2=state.s2 ^ ROUND_CONSTANTS[index])
+        yield index, "post-constant", state
+        state = sbox_slicewise(state)
+        yield index, "post-sbox", state
+        state = linear_from_table(state)
+        yield index, "post-linear", state
 
 
 def induced_sbox_table() -> list[int]:

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from ascon_aead import aead, cli
 from ascon_aead.codec import hex_decode
-from ascon_aead.permutation import ROUND_CONSTANTS, State, linear_layer, substitution_layer
+from ascon_aead.permutation import State
 
 from conftest import VARIANT_NAMES, accel_available, kat_path, variant_like
+from oracles import round_steps
 
 KEY_HEX = "000102030405060708090A0B0C0D0E0F"
 NONCE_HEX = "000102030405060708090A0B0C0D0E0F"
@@ -61,17 +62,11 @@ def trace_line(label, state):
 
 
 def expected_trace(state, rounds, verbose):
-    """The lines `trace` must print, rebuilt from the spec-level layers, and the end state."""
+    """The lines `trace` must print, rebuilt from the layer oracles, and the end state."""
     lines = [trace_line("initial", state)]
-    for index in range(12 - rounds, 12):
-        state = state._replace(s2=state.s2 ^ ROUND_CONSTANTS[index])
-        if verbose:
-            lines.append(trace_line(f"round {index:2} post-constant", state))
-        state = substitution_layer(state)
-        if verbose:
-            lines.append(trace_line(f"round {index:2} post-sbox", state))
-        state = linear_layer(state)
-        lines.append(trace_line(f"round {index:2} post-linear", state))
+    for index, step, state in round_steps(state, rounds):
+        if verbose or step == "post-linear":
+            lines.append(trace_line(f"round {index:2} {step}", state))
     return lines, state
 
 

@@ -11,11 +11,18 @@ from ascon_aead.permutation import (
     State,
     linear_layer,
     permute,
-    rotr64,
     substitution_layer,
 )
 
-from oracles import REFERENCE_SBOX, gf2_rank, induced_sbox_table, sbox_slicewise
+from oracles import (
+    REFERENCE_SBOX,
+    gf2_rank,
+    induced_sbox_table,
+    linear_from_table,
+    rotate_right,
+    round_steps,
+    sbox_slicewise,
+)
 
 word = st.integers(min_value=0, max_value=MASK64)
 states = st.builds(State, word, word, word, word, word)
@@ -29,32 +36,6 @@ PERMUTE12_FIXTURE = State(
     0xFA8EAAAAC685D26A,
     0xF044217FBE57E755,
 )
-
-
-class TestRotr64:
-    def test_identity(self):
-        assert rotr64(0x0123456789ABCDEF, 0) == 0x0123456789ABCDEF
-        assert rotr64(0x0123456789ABCDEF, 64) == 0x0123456789ABCDEF  # one full turn
-
-    def test_single_bit_wraparound(self):
-        assert rotr64(0x0000000000000001, 1) == 0x8000000000000000
-
-    def test_nibble_shift(self):
-        assert rotr64(0x0123456789ABCDEF, 4) == 0xF0123456789ABCDE
-
-    @pytest.mark.parametrize("amount", [-1, 65, 100])
-    def test_rejects_out_of_range(self, amount):
-        with pytest.raises(ValueError):
-            rotr64(1, amount)
-
-    @given(word, st.integers(min_value=1, max_value=63))
-    def test_matches_left_rotation_by_complement(self, x, r):
-        rotl = ((x << (64 - r)) | (x >> r)) & MASK64
-        assert rotr64(x, r) == rotl
-
-    @given(word, st.integers(min_value=0, max_value=63))
-    def test_stays_in_word_range(self, x, r):
-        assert 0 <= rotr64(x, r) <= MASK64
 
 
 class TestRoundConstant:
@@ -114,16 +95,17 @@ class TestLinearLayer:
             columns = []
             for k in range(64):
                 unit = 1 << k
-                columns.append(unit ^ rotr64(unit, r1) ^ rotr64(unit, r2))
+                columns.append(unit ^ rotate_right(unit, r1) ^ rotate_right(unit, r2))
             assert gf2_rank(columns) == 64, f"word s{i} transform is singular"
+
+    def test_rotation_table_is_pinned(self):
+        assert ROTATIONS == ((19, 28), (61, 39), (1, 6), (10, 17), (7, 41))
 
     def test_matches_rotation_table(self):
         rng = random.Random(0x11ED)
-        state = State(*(rng.getrandbits(64) for _ in range(5)))
-        expected = State(
-            *(w ^ rotr64(w, r1) ^ rotr64(w, r2) for w, (r1, r2) in zip(state, ROTATIONS))
-        )
-        assert linear_layer(state) == expected
+        for _ in range(200):
+            state = State(*(rng.getrandbits(64) for _ in range(5)))
+            assert linear_layer(state) == linear_from_table(state)
 
 
 class TestPermute:
@@ -137,10 +119,7 @@ class TestPermute:
     def test_reduced_rounds_use_schedule_tail(self):
         state = PERMUTE12_FIXTURE
         for rounds in (6, 8, 12):
-            expected = state
-            for index in range(12 - rounds, 12):
-                expected = expected._replace(s2=expected.s2 ^ ROUND_CONSTANTS[index])
-                expected = linear_layer(substitution_layer(expected))
+            *_, (_, _, expected) = round_steps(state, rounds)
             assert permute(state, rounds) == expected
 
     @given(states, st.sampled_from((6, 8, 12)))
@@ -149,21 +128,9 @@ class TestPermute:
         calls = []
         result = permute(state, rounds, lambda *call: calls.append(call))
         assert result == permute(state, rounds)
-        steps = ("post-constant", "post-sbox", "post-linear")
-        assert [call[:2] for call in calls] == [
-            (index, step) for index in range(12 - rounds, 12) for step in steps
-        ]
-        expected = state
-        for index, step, seen in calls:
-            if step == "post-constant":
-                expected = expected._replace(s2=expected.s2 ^ ROUND_CONSTANTS[index])
-            elif step == "post-sbox":
-                expected = substitution_layer(expected)
-            else:
-                expected = linear_layer(expected)
-            assert seen == expected, (index, step)
-        # the calls come in schedule order, so this is the layers' composition
-        assert expected == result
+        # the oracles' steps in schedule order, so the last is the layers' composition
+        assert calls == list(round_steps(state, rounds))
+        assert calls[-1][2] == result
 
     def test_six_plus_six_differs_from_twelve(self):
         # both 6-round runs use constants 6..11, so the schedules differ
@@ -174,6 +141,23 @@ class TestPermute:
     def test_rejects_invalid_round_count(self, rounds):
         with pytest.raises(ValueError):
             permute(State(0, 0, 0, 0, 0), rounds)
+
+    @pytest.mark.parametrize("rounds", [12.0, "12", None])
+    def test_rejects_a_round_count_that_is_not_an_int(self, rounds):
+        with pytest.raises(TypeError, match=f"^rounds must be an int, not {type(rounds).__name__}$"):
+            permute(State(0, 0, 0, 0, 0), rounds)
+
+    @pytest.mark.parametrize("position", range(5))
+    @pytest.mark.parametrize("value", [-1, MASK64 + 1])
+    def test_rejects_a_word_out_of_range_without_printing_it(self, position, value):
+        words = [0x0123456789ABCDEF] * 5
+        words[position] = value
+        with pytest.raises(ValueError, match=r"^state words must be in 0\.\.2\*\*64-1$"):
+            permute(State(*words), 6)
+
+    @pytest.mark.parametrize("word", [0, MASK64])
+    def test_accepts_the_word_range_ends(self, word):
+        assert all(0 <= w <= MASK64 for w in permute(State(*[word] * 5), 6))
 
     @given(states)
     @settings(max_examples=25)
