@@ -141,11 +141,10 @@ def _library() -> tuple:
     for directory in (_package_cache, _private_temp_dir):
         try:
             path = os.path.join(directory(), name)
-            if os.path.isfile(path):
-                try:
-                    return _import(path), path
-                except _Unavailable:  # truncated, say, or built against another libc
-                    pass
+            try:
+                return _import(path), path
+            except _Unavailable:  # absent, truncated, or built against another libc
+                pass
             _compile(path)
             return _import(path), path
         except OSError as exc:  # the directory cannot be created or written

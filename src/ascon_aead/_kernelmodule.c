@@ -16,6 +16,8 @@
  * makes the kernel overrun a buffer; the error is the one _checked raises on
  * the pure path, with aead's argument names, and aead passes it on.  The
  * checks branch on public types and lengths only, and name no input bytes.
+ * Each copy is zeroed before it is released, as it may hold the key or the
+ * plaintext; the caller's own `bytes` are left as they are.
  *
  * The GIL is released while the kernel runs only when `ad` and `data` come to
  * GIL_MINSIZE bytes or more, as hashlib does for its HASHLIB_GIL_MINSIZE.
@@ -41,6 +43,25 @@ int ascon_decrypt(const unsigned char *params, const unsigned char *key,
                   const unsigned char *nonce, const unsigned char *ad, size_t adlen,
                   const unsigned char *in, size_t len, unsigned char *out,
                   const unsigned char *tag);
+
+/* Zero `copy`, a `bytes` the binding made and alone holds, before it is freed;
+ * the shared empty `bytes` has nothing to zero.  The barrier, or the volatile
+ * stores, keep the compiler from dropping the zeroing as dead stores.
+ */
+static void wipe(PyObject *copy)
+{
+    size_t size = (size_t)PyBytes_GET_SIZE(copy);
+
+    if (Py_REFCNT(copy) != 1)
+        return;
+#ifdef __GNUC__
+    memset(PyBytes_AS_STRING(copy), 0, size);
+    __asm__ volatile("" ::: "memory");
+#else
+    for (volatile char *p = PyBytes_AS_STRING(copy); size > 0; size--)
+        *p++ = 0;
+#endif
+}
 
 #define ARG(i) ((const unsigned char *)PyBytes_AS_STRING(args[i]))
 #define LEN(i) ((size_t)PyBytes_GET_SIZE(args[i]))
@@ -121,8 +142,10 @@ done:
     Py_XDECREF(out);
     Py_XDECREF(tag);
     while (copied-- > 0)
-        if (args[copied] != given[copied])
+        if (args[copied] != given[copied]) {
+            wipe(args[copied]);
             Py_DECREF(args[copied]);
+        }
     return result;
 }
 

@@ -11,17 +11,20 @@ They are the reference definition of the cipher.  The AD and data phases
 share one duplex routine, `_duplex`, of which the kernel's `duplex` is a
 copy.  It handles the rate as one big-endian integer (s0, or s0 || s1),
 moves blocks in and out of it with int.from_bytes/int.to_bytes, and runs
-every permutation through `permute` below.  When the optional compiled
-kernel (`_accel`) loads, `encrypt` and `decrypt` run each message through
-it in one call, a compiled copy of these phases that takes the variant's
-IV as its only parameter; otherwise they compose the phases here.
-`backend_info` says which of the two runs.
+every permutation through `permute`, imported from `permutation` by name.
+When the optional compiled kernel (`_accel`) loads, `encrypt` and `decrypt`
+run each message through it in one call, a compiled copy of these phases
+that takes the variant's IV as its only parameter; otherwise they compose
+the phases here.  `backend_info` says which of the two runs.
 
 Each backend checks every argument once, and both raise the same errors,
 which name the first argument at fault.  A `params` that is not a
 VariantParams never reaches the kernel: `_checked`, the pure path's check,
 refuses it on either.  The kernel verifies the tag and zeroes failed
-plaintext; its binding copies once a bytes-like argument that is not `bytes`.
+plaintext; its binding copies once a bytes-like argument that is not `bytes`,
+and zeroes that copy before freeing it.  CPython's own objects cannot be
+wiped: the caller's `bytes`, and the pure path's copies and ints, stay in
+freed memory until it is reused.
 
 Neither path branches on, or indexes memory by, secret values in its
 source, but only the kernel is constant-time: the phases here compute on
@@ -38,8 +41,9 @@ formatted into error messages.
 
 from __future__ import annotations
 
-from . import permutation
-from .permutation import MASK64, VALID_ROUNDS, State
+# The phases look `permute` up here at call time, so a stand-in set on this
+# module (a counter, a tracer) sees every permutation they run.
+from .permutation import MASK64, VALID_ROUNDS, State, permute
 
 KEY_BYTES = 16
 NONCE_BYTES = 16
@@ -181,15 +185,6 @@ def backend_info() -> dict:
         "library": None if accel is None else _accel.LIBRARY,
         "unavailable_reason": _accel.UNAVAILABLE_REASON,
     }
-
-
-def permute(state: State, rounds: int = 12) -> State:
-    """The permutation every phase calls.
-
-    Phases look this name up at call time, so a stand-in set on the module
-    (a counter, a tracer) sees every permutation they run.
-    """
-    return permutation.permute(state, rounds)
 
 
 def _rate_of(state: State, rate: int) -> int:

@@ -33,8 +33,8 @@ class State(namedtuple("State", "s0 s1 s2 s3 s4")):
     """The permutation state as five 64-bit words s0..s4; a plain immutable value.
 
     All word arithmetic is modulo 2**64 and strictly unsigned.  `permute`
-    refuses a word outside 0..2**64-1; given words in it, every function
-    in this module returns words in it.
+    and the two layer functions refuse a word outside 0..2**64-1; given
+    words in it, every function in this module returns words in it.
     """
 
     __slots__ = ()
@@ -49,6 +49,14 @@ class State(namedtuple("State", "s0 s1 s2 s3 s4")):
     def to_bytes(self) -> bytes:
         """Serialize to 40 big-endian bytes; inverse of from_bytes."""
         return b"".join(w.to_bytes(8, "big") for w in self)
+
+
+def _checked_words(state: State) -> State:
+    """`state`, or ValueError when a word is outside 0..2**64-1."""
+    x0, x1, x2, x3, x4 = state
+    if not 0 <= x0 | x1 | x2 | x3 | x4 <= MASK64:
+        raise ValueError("state words must be in 0..2**64-1")  # no value: words can be secret
+    return state
 
 
 def _sbox(x0: int, x1: int, x2: int, x3: int, x4: int) -> tuple[int, int, int, int, int]:
@@ -85,12 +93,12 @@ def _linear(x0: int, x1: int, x2: int, x3: int, x4: int) -> tuple[int, int, int,
 
 def substitution_layer(state: State) -> State:
     """Apply the 5-bit S-box to all 64 bit-slices of `state` simultaneously."""
-    return State(*_sbox(*state))
+    return State(*_sbox(*_checked_words(state)))
 
 
 def linear_layer(state: State) -> State:
     """Diffuse each word of `state` by its two right rotations per ROTATIONS."""
-    return State(*_linear(*state))
+    return State(*_linear(*_checked_words(state)))
 
 
 def permute(state: State, rounds: int = 12, observe=None) -> State:
@@ -108,9 +116,7 @@ def permute(state: State, rounds: int = 12, observe=None) -> State:
         raise TypeError(f"rounds must be an int, not {type(rounds).__name__}")
     if rounds not in VALID_ROUNDS:
         raise ValueError(f"round count must be one of {VALID_ROUNDS}, got {rounds}")
-    x0, x1, x2, x3, x4 = state
-    if not 0 <= x0 | x1 | x2 | x3 | x4 <= MASK64:
-        raise ValueError("state words must be in 0..2**64-1")  # no value: words can be secret
+    x0, x1, x2, x3, x4 = _checked_words(state)
     for index in range(12 - rounds, 12):
         x2 ^= ROUND_CONSTANTS[index]
         if observe is not None:

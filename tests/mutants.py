@@ -35,11 +35,12 @@ from pathlib import Path
 from ascon_aead import aead, permutation
 
 
-def _edit(module, name, *edits):
+def _edit(module, name, *edits, also=()):
     """apply(monkeypatch) replacing module.name by its source with `edits`.
 
     Each edit is (text, replacement); every match of the text is replaced,
-    and the text must occur in the function's current source.
+    and the text must occur in the function's current source.  The edited
+    function is set on each module in `also` too, one that imports the name.
     """
 
     def apply(monkeypatch):
@@ -49,7 +50,8 @@ def _edit(module, name, *edits):
             source = source.replace(original, replacement)
         namespace = dict(vars(module))
         exec(compile(source, f"<mutant of {module.__name__}.{name}>", "exec"), namespace)
-        monkeypatch.setattr(module, name, namespace[name])
+        for target in (module, *also):
+            monkeypatch.setattr(target, name, namespace[name])
 
     return apply
 
@@ -85,7 +87,9 @@ def kernel_copy(directory: Path, edit=None) -> Path:
 #: name -> (apply(monkeypatch), earliest KAT count whose CT must diverge)
 BUG_MUTANTS = {
     "wrong round constants": (
-        _edit(permutation, "permute", ("x2 ^= ROUND_CONSTANTS[index]", "x2 ^= index + 1")),
+        # aead imports permute by name, so its phases see only a stand-in set there
+        _edit(permutation, "permute", ("x2 ^= ROUND_CONSTANTS[index]", "x2 ^= index + 1"),
+              also=(aead,)),
         1,
     ),
     "left instead of right rotation": (

@@ -66,6 +66,19 @@ keys = st.binary(min_size=16, max_size=16)
 small = st.binary(max_size=96)
 
 
+@pytest.fixture
+def permute_calls(monkeypatch, pure_path):
+    """On the pure path, the round count of each permutation the phases run via aead.permute."""
+    calls = []
+
+    def counting(state, rounds=12):
+        calls.append(rounds)
+        return permute(state, rounds)
+
+    monkeypatch.setattr(aead, "permute", counting)
+    return calls
+
+
 class TestVariantParams:
     def test_parameter_table(self):
         assert (ASCON_128.rate_bytes, ASCON_128.rounds_a, ASCON_128.rounds_b) == (8, 12, 6)
@@ -202,19 +215,11 @@ class TestAssociatedData:
         out = process_associated_data(state, params, b"")
         assert out == state._replace(s4=state.s4 ^ 1)
 
-    def test_full_block_ad_permutes_twice(self, monkeypatch, pure_path):
-        calls = []
-        real = permute
-
-        def counting(state, rounds=12):
-            calls.append(rounds)
-            return real(state, rounds)
-
-        monkeypatch.setattr(aead, "permute", counting)
+    def test_full_block_ad_permutes_twice(self, permute_calls):
         state = initialize(ASCON_128, KEY, NONCE)
-        calls.clear()
+        permute_calls.clear()
         process_associated_data(state, ASCON_128, bytes(8))
-        assert calls == [6, 6]  # data block plus the forced padding block
+        assert permute_calls == [6, 6]  # data block plus the forced padding block
 
     @BOTH
     def test_single_byte_ad_changes_more_than_domain_bit(self, params):
@@ -338,6 +343,24 @@ def test_forgery_mutant_is_caught(name, monkeypatch, capsys, tmp_path, fresh_loa
 
 
 class TestEncryptDecrypt:
+    @BOTH
+    def test_permute_calls_follow_the_cost_model(self, params, permute_calls):
+        # p^a, one p^b per whole AD block and one for the padded last block
+        # (none without AD), one p^b per whole data block, then p^a
+        r = params.rate_bytes
+        lengths = (0, 1, r - 1, r, r + 1, 2 * r, 3 * r + 5, 4 * r)
+        for ad_len in lengths:
+            for pt_len in lengths:
+                ad, pt = bytes(ad_len), bytes(range(pt_len))
+                blocks = (ad_len // r + 1 if ad_len else 0) + pt_len // r
+                expected = [aead.ROUNDS_A] + [params.rounds_b] * blocks + [aead.ROUNDS_A]
+                permute_calls.clear()
+                ct, tag = encrypt(params, KEY, NONCE, ad, pt)
+                assert permute_calls == expected, ("encrypt", ad_len, pt_len)
+                permute_calls.clear()
+                assert decrypt(params, KEY, NONCE, ad, ct, tag) == pt
+                assert permute_calls == expected, ("decrypt", ad_len, pt_len)
+
     @BOTH
     def test_record_1(self, params):
         ct, tag = encrypt(params, KEY, NONCE, b"", b"")
@@ -862,6 +885,32 @@ class TestAcceleratedPath:
         assert _accel.load(), _accel.UNAVAILABLE_REASON
         assert _accel.LIBRARY == library
         assert [str(path) for path in cache.iterdir()] == [library]
+
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    def test_binding_zeroes_its_copy_of_the_key(self, kind):
+        # The binding copies a key that is not `bytes` into a 16-byte `bytes`.
+        # pymalloc hands a freed block out again next, contents and all, so an
+        # unwiped copy would be the next 16-byte `bytes` allocated, key included.
+        import ctypes
+
+        # No argtypes: converting an argument through them would allocate,
+        # and take the freed block first.
+        allocate = ctypes.PYFUNCTYPE(ctypes.py_object)(
+            ("PyBytes_FromStringAndSize", ctypes.pythonapi))
+
+        def next_block_after(call) -> bytes:
+            call()  # its result, and any copy it made, freed here
+            return allocate(None, 16)  # 16 bytes left as the block held them
+
+        marker = bytes(range(0xA0, 0xB0))
+        if not any(next_block_after(lambda: bytes(bytearray(marker))) == marker
+                   for _ in range(5)):
+            pytest.skip("the allocator does not hand a freed block out next")
+        ct, tag = encrypt(ASCON_128, KEY, NONCE, b"", b"")
+        key = kind(bytearray(KEY))
+        for _ in range(5):
+            assert next_block_after(lambda: decrypt(ASCON_128, key, NONCE, b"", ct, tag)) != KEY
+        assert key == KEY  # the caller's own buffer is left as it was
 
     @pytest.mark.parametrize("direction, case", KERNEL_ARG_CASES)
     def test_kernel_module_checks_its_own_arguments(self, direction, case):

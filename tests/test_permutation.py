@@ -152,8 +152,10 @@ class TestPermute:
     def test_rejects_a_word_out_of_range_without_printing_it(self, position, value):
         words = [0x0123456789ABCDEF] * 5
         words[position] = value
-        with pytest.raises(ValueError, match=r"^state words must be in 0\.\.2\*\*64-1$"):
-            permute(State(*words), 6)
+        # permute and both public layers share the one check
+        for run in (lambda state: permute(state, 6), substitution_layer, linear_layer):
+            with pytest.raises(ValueError, match=r"^state words must be in 0\.\.2\*\*64-1$"):
+                run(State(*words))
 
     @pytest.mark.parametrize("word", [0, MASK64])
     def test_accepts_the_word_range_ends(self, word):
