@@ -1,7 +1,10 @@
-"""Optional compiled kernel (a C extension module); resolved lazily by aead.
+"""Optional compiled kernel (a C extension module): its builder and loader.
 
-When it loads, aead.encrypt and aead.decrypt run each whole message through
-it in one call: `encrypt` or `decrypt` of the module that load() returns.
+load() returns `(module, path)`, the extension module and its library, or
+raises Unavailable with the reason.  This module keeps no state: each call
+builds or loads anew, and aead resolves the backend once and remembers and
+reports it.  When the kernel loads, aead.encrypt and aead.decrypt run each
+whole message through it in one call: the module's `encrypt` or `decrypt`.
 The four phase functions of aead stay the reference path and handle every
 input when the kernel cannot be built or loaded.  The kernel, `_accel.c`,
 is a compiled copy of those phases over the same round function on machine
@@ -54,7 +57,6 @@ have to compile its own build again.
 
 from __future__ import annotations
 
-import _thread
 import os
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
@@ -76,35 +78,9 @@ _PLATFORM = f"{sys.platform}-{os.uname().machine}" if hasattr(os, "uname") else 
 _CACHE_DIR = os.path.join(_HERE, "__pycache__")
 _COMPILE_TIMEOUT_S = 120
 
-#: Why the kernel could not be built or loaded; None until load() fails.
-UNAVAILABLE_REASON: str | None = None
-#: The path of the loaded library; None until load() succeeds.
-LIBRARY: str | None = None
 
-_kernel = None  # the extension module, once load() has succeeded
-_lock = _thread.allocate_lock()
-
-
-class _Unavailable(Exception):
+class Unavailable(Exception):
     """The kernel cannot be built or loaded here; the message says why."""
-
-
-def load():
-    """Build or load the kernel once per process; the module, or None when unusable.
-
-    Only the expected failures fall back to the pure path: no compiler on
-    PATH, a failed compile (no CPython headers, say), no usable cache
-    directory, or a fresh build the interpreter cannot load.  Their reason is
-    kept in UNAVAILABLE_REASON.  Anything else is a fault and propagates.
-    """
-    global _kernel, LIBRARY, UNAVAILABLE_REASON
-    with _lock:
-        if _kernel is None and UNAVAILABLE_REASON is None:
-            try:
-                _kernel, LIBRARY = _library()
-            except _Unavailable as exc:
-                UNAVAILABLE_REASON = str(exc)
-        return _kernel
 
 
 def _import(path: str):
@@ -113,7 +89,7 @@ def _import(path: str):
     try:
         module = loader.create_module(ModuleSpec(_MODULE, loader, origin=path))
     except ImportError as exc:
-        raise _Unavailable(f"cannot load {path}: {exc}") from exc
+        raise Unavailable(f"cannot load {path}: {exc}") from exc
     loader.exec_module(module)
     return module
 
@@ -134,8 +110,14 @@ def _library_name() -> str:
     return f"_accel-{source_hash(key.encode()).hex()}{_EXT_SUFFIX}"
 
 
-def _library() -> tuple:
-    """The kernel and its path, from the first usable cache; compiled if absent or unloadable."""
+def load() -> tuple:
+    """The kernel and its path, from the first usable cache; compiled if absent or unloadable.
+
+    Raises Unavailable on the expected failures, which leave the pure path
+    to run: no compiler on PATH, a failed compile (no CPython headers, say),
+    no usable cache directory, or a fresh build the interpreter cannot load.
+    Anything else is a fault and propagates.
+    """
     name = _library_name()
     problems = []
     for directory in (_package_cache, _private_temp_dir):
@@ -143,13 +125,13 @@ def _library() -> tuple:
             path = os.path.join(directory(), name)
             try:
                 return _import(path), path
-            except _Unavailable:  # absent, truncated, or built against another libc
+            except Unavailable:  # absent, truncated, or built against another libc
                 pass
             _compile(path)
             return _import(path), path
         except OSError as exc:  # the directory cannot be created or written
             problems.append(str(exc))
-    raise _Unavailable(f"no writable cache directory: {'; '.join(problems)}")
+    raise Unavailable(f"no writable cache directory: {'; '.join(problems)}")
 
 
 def _package_cache():
@@ -182,7 +164,7 @@ def _compile(target: str) -> None:
 
     os.replace makes the finished library appear at once, so a process
     racing this one never loads a half-written file.  Raises OSError when
-    the directory is not writable and _Unavailable when there is no
+    the directory is not writable and Unavailable when there is no
     compiler or the compile fails.  Then deletes the builds it supersedes.
     """
     # only a compile needs these; loading a cached library does not
@@ -200,7 +182,7 @@ def _compile(target: str) -> None:
     try:
         compiler = shutil.which(_COMPILER)
         if compiler is None:
-            raise _Unavailable(f"C compiler {_COMPILER!r} not found on PATH")
+            raise Unavailable(f"C compiler {_COMPILER!r} not found on PATH")
         try:
             proc = subprocess.run(
                 [compiler, *_CFLAGS, f"-I{include}", "-o", tmp, _SOURCE, _BINDING],
@@ -209,9 +191,9 @@ def _compile(target: str) -> None:
                 timeout=_COMPILE_TIMEOUT_S,
             )
         except (OSError, subprocess.TimeoutExpired) as exc:
-            raise _Unavailable(f"C compiler {compiler} did not run: {exc}") from exc
+            raise Unavailable(f"C compiler {compiler} did not run: {exc}") from exc
         if proc.returncode != 0:
-            raise _Unavailable(
+            raise Unavailable(
                 f"{compiler} failed with exit {proc.returncode}: {proc.stderr.strip()[-500:]}"
             )
         os.chmod(tmp, 0o755)

@@ -15,7 +15,8 @@ every permutation through `permute`, imported from `permutation` by name.
 When the optional compiled kernel (`_accel`) loads, `encrypt` and `decrypt`
 run each message through it in one call, a compiled copy of these phases
 that takes the variant's IV as its only parameter; otherwise they compose
-the phases here.  `backend_info` says which of the two runs.
+the phases here.  `_get_accel` picks the backend once, under `_accel_lock`,
+and keeps it and any fallback's reason here, for `backend_info` to report.
 
 Each backend checks every argument once, and both raise the same errors,
 which name the first argument at fault.  A `params` that is not a
@@ -41,6 +42,8 @@ formatted into error messages.
 
 from __future__ import annotations
 
+import _thread
+
 # The phases look `permute` up here at call time, so a stand-in set on this
 # module (a counter, a tracer) sees every permutation they run.
 from .permutation import MASK64, VALID_ROUNDS, State, permute
@@ -51,7 +54,10 @@ TAG_BYTES = 16
 ROUNDS_A = 12  # initialization and finalization rounds, in every variant
 ABSORB, ENCRYPT, DECRYPT = 0, 1, 2  # _duplex modes, numbered as in _accel.c
 
-_accel_backend = None  # not probed yet; becomes the kernel module or False
+_accel_backend = None  # not resolved yet; then the kernel module, or False
+_accel_library = None  # the loaded kernel's path
+_accel_reason = None  # why the kernel could not be built or loaded
+_accel_lock = _thread.allocate_lock()
 
 
 class AuthenticationFailure(Exception):
@@ -158,14 +164,21 @@ def _checked(table, params, *args) -> list:
 def _get_accel():
     """Resolve the compiled-kernel backend once: its extension module, or None.
 
-    Why the kernel could not be built or loaded is kept in
-    `_accel.UNAVAILABLE_REASON`.
+    The first call runs `_accel.load` under `_accel_lock`, so first calls
+    that race load the kernel once.  The library's path is kept in
+    `_accel_library`, and why the kernel could not be built or loaded in
+    `_accel_reason`.
     """
-    global _accel_backend
-    if _accel_backend is None:
-        from . import _accel
+    global _accel_backend, _accel_library, _accel_reason
+    with _accel_lock:
+        if _accel_backend is None:
+            from . import _accel
 
-        _accel_backend = _accel.load() or False
+            try:
+                _accel_backend, _accel_library = _accel.load()
+                _accel_reason = None
+            except _accel.Unavailable as exc:
+                _accel_backend, _accel_reason = False, str(exc)
     return _accel_backend or None
 
 
@@ -177,13 +190,11 @@ def backend_info() -> dict:
     could not be built or loaded, or None.  Resolves the backend, so the
     first call may build the kernel.
     """
-    from . import _accel
-
     accel = _get_accel()
     return {
         "backend": "pure" if accel is None else "kernel",
-        "library": None if accel is None else _accel.LIBRARY,
-        "unavailable_reason": _accel.UNAVAILABLE_REASON,
+        "library": None if accel is None else _accel_library,
+        "unavailable_reason": _accel_reason,
     }
 
 

@@ -60,12 +60,12 @@ def pure_path(monkeypatch):
 
 @pytest.fixture
 def fresh_loader(monkeypatch):
-    """Forget the loaded kernel for one test, so the next call builds or loads it anew."""
-    from ascon_aead import _accel
+    """Forget aead's resolved backend for one test, so the next call resolves it anew.
 
-    for name in ("_kernel", "LIBRARY", "UNAVAILABLE_REASON"):
-        monkeypatch.setattr(_accel, name, None)
-    monkeypatch.setattr(aead, "_accel_backend", None)
+    aead alone remembers the backend; `_accel.load` builds or loads on every call.
+    """
+    for name in ("_accel_backend", "_accel_library", "_accel_reason"):
+        monkeypatch.setattr(aead, name, None)
 
 
 def run_selftest(capsys) -> tuple[int, list[str]]:

@@ -59,8 +59,8 @@ def _edit(module, name, *edits, also=()):
 def use_kernel_mutant(monkeypatch, tmp_path, edit) -> None:
     """Make the loader build and load _accel.c with `edit`, (text, replacement), applied.
 
-    The build goes to a cache in `tmp_path`.  Call it with the loaded kernel
-    forgotten (conftest's fresh_loader), so the next call builds anew.
+    The build goes to a cache in `tmp_path`.  Call it with aead's backend
+    unresolved (conftest's fresh_loader), so its next call builds the mutant.
     """
     from ascon_aead import _accel
 

@@ -800,6 +800,38 @@ class TestAcceleratedPath:
         assert json.loads(text) == info
         assert KEY.hex() not in text.lower() and b"message".hex() not in text
 
+    def test_racing_first_calls_resolve_the_backend_once(self, monkeypatch, fresh_loader):
+        # aead's lock holds back every first call but one until the backend
+        # is resolved, so a slow load runs once, not once per thread
+        import threading
+        import time
+
+        from ascon_aead import _accel
+
+        loads, load = [], _accel.load
+
+        def slow_load():
+            loads.append(1)
+            time.sleep(0.05)  # long enough for every thread to reach the lock
+            return load()
+
+        monkeypatch.setattr(_accel, "load", slow_load)
+        barrier = threading.Barrier(8)
+        results = [None] * 8
+
+        def first_call(i):
+            barrier.wait()
+            results[i] = encrypt(ASCON_128, KEY, NONCE, b"ad", b"message")
+
+        threads = [threading.Thread(target=first_call, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(loads) == 1
+        assert None not in results and len(set(results)) == 1
+        assert aead.backend_info()["backend"] == "kernel"
+
     @BOTH
     def test_kernels_pass_kat_subset(self, params, kat_records):
         from ascon_aead.kat import run_kat
@@ -822,17 +854,16 @@ class TestAcceleratedPath:
         blocker.write_bytes(b"")
         monkeypatch.setattr(_accel, "_CACHE_DIR", blocker / "__pycache__")
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        kernel = _accel.load()
-        assert kernel, _accel.UNAVAILABLE_REASON
+        kernel, library = _accel.load()
         private = tmp_path / f"ascon-aead-{os.getuid()}"
         assert [p.suffix for p in private.iterdir()] == [".so"]
-        assert aead.backend_info()["library"] == str(next(private.iterdir()))
+        assert aead.backend_info()["library"] == library == str(next(private.iterdir()))
         assert private.stat().st_mode & 0o777 == 0o700
         fast = kernel.encrypt(ASCON_128._iv, KEY, NONCE, b"ad", b"message")
         monkeypatch.setattr(aead, "_accel_backend", False)
         assert fast == encrypt(ASCON_128, KEY, NONCE, b"ad", b"message")
 
-    def test_compile_prunes_superseded_builds_only(self, monkeypatch, tmp_path, fresh_loader):
+    def test_compile_prunes_superseded_builds_only(self, monkeypatch, tmp_path):
         from ascon_aead import _accel
 
         cache = tmp_path / "cache"
@@ -852,21 +883,15 @@ class TestAcceleratedPath:
         blocked = cache / f"_accel-fedcba9876543210{_accel._EXT_SUFFIX}"
         blocked.mkdir()
         monkeypatch.setattr(_accel, "_CACHE_DIR", cache)
-        assert _accel.load(), _accel.UNAVAILABLE_REASON
-        library = Path(_accel.LIBRARY)
+        library = Path(_accel.load()[1])
         assert library.parent == cache
         assert sorted(cache.iterdir()) == sorted([library, blocked, *kept])
         # loading a cached build deletes nothing
         superseded.write_bytes(b"")
-        for name in ("_kernel", "LIBRARY"):
-            monkeypatch.setattr(_accel, name, None)
-        assert _accel.load()
-        assert _accel.LIBRARY == str(library)
+        assert _accel.load()[1] == str(library)
         assert superseded.exists()
 
-    def test_interpreters_with_one_abi_tag_share_one_build(
-        self, monkeypatch, tmp_path, fresh_loader
-    ):
+    def test_interpreters_with_one_abi_tag_share_one_build(self, monkeypatch, tmp_path):
         # another interpreter with this ABI tag whose headers lie elsewhere,
         # or are not installed, loads the build already in the cache
         import sysconfig
@@ -875,15 +900,11 @@ class TestAcceleratedPath:
 
         cache = tmp_path / "cache"
         monkeypatch.setattr(_accel, "_CACHE_DIR", cache)
-        assert _accel.load(), _accel.UNAVAILABLE_REASON
-        library = _accel.LIBRARY
+        library = _accel.load()[1]
         (tmp_path / "headers").mkdir()
         monkeypatch.setattr(sysconfig, "get_paths",
                             lambda *args, **kw: {"include": str(tmp_path / "headers")})
-        for name in ("_kernel", "LIBRARY"):
-            monkeypatch.setattr(_accel, name, None)
-        assert _accel.load(), _accel.UNAVAILABLE_REASON
-        assert _accel.LIBRARY == library
+        assert _accel.load()[1] == library
         assert [str(path) for path in cache.iterdir()] == [library]
 
     @pytest.mark.parametrize("kind", [bytearray, memoryview])
@@ -1046,9 +1067,10 @@ def test_kernel_fallback_keeps_pure_path_and_reason(
     assert report.failed == 0
     assert report.passed == 2 * len(subset)
     assert aead._accel_backend is False
-    assert reason in _accel.UNAVAILABLE_REASON
-    assert aead.backend_info() == {
-        "backend": "pure", "library": None, "unavailable_reason": _accel.UNAVAILABLE_REASON
+    info = aead.backend_info()
+    assert reason in info["unavailable_reason"]
+    assert info == {
+        "backend": "pure", "library": None, "unavailable_reason": info["unavailable_reason"]
     }
     assert list(cache.iterdir()) == [], "a failed build must leave no file behind"
 
@@ -1072,12 +1094,13 @@ def test_unloadable_cached_library_is_compiled_over(
     from ascon_aead.kat import run_kat
 
     planted = _planted_cache(monkeypatch, tmp_path)
-    assert _accel.load() is not None, _accel.UNAVAILABLE_REASON
-    assert (_accel.LIBRARY, _accel.UNAVAILABLE_REASON) == (str(planted), None)
+    assert _accel.load()[1] == str(planted)
     subset = kat_records["ascon128"][::37]
     report = run_kat(subset, ASCON_128)
     assert (report.failed, report.passed) == (0, 2 * len(subset))
-    assert aead.backend_info()["backend"] == "kernel"
+    assert aead.backend_info() == {
+        "backend": "kernel", "library": str(planted), "unavailable_reason": None
+    }
     assert list(planted.parent.iterdir()) == [planted]
 
 
@@ -1096,16 +1119,20 @@ def test_unloadable_cached_library_keeps_pure_path_and_reason(
 
     def refuse(path):
         loads.append(path)
-        raise _accel._Unavailable(f"cannot load {path}: refusal {len(loads)}")
+        raise _accel.Unavailable(f"cannot load {path}: refusal {len(loads)}")
 
     monkeypatch.setattr(_accel, "_import", refuse)
-    assert _accel.load() is None
+    with pytest.raises(_accel.Unavailable) as info:
+        _accel.load()
     assert (compiles, loads) == ([str(planted)], [str(planted)] * 2)
-    assert _accel.UNAVAILABLE_REASON == f"cannot load {planted}: refusal 2"
+    assert str(info.value) == f"cannot load {planted}: refusal 2"
     subset = kat_records["ascon128"][::37]
-    report = run_kat(subset, ASCON_128)
+    report = run_kat(subset, ASCON_128)  # aead resolves anew: refusals 3 and 4
     assert (report.failed, report.passed) == (0, 2 * len(subset))
-    assert aead.backend_info()["backend"] == "pure"
+    assert aead.backend_info() == {
+        "backend": "pure", "library": None,
+        "unavailable_reason": f"cannot load {planted}: refusal 4",
+    }
     assert list(planted.parent.iterdir()) == [planted]
 
 
@@ -1136,8 +1163,9 @@ def test_private_temp_dir_refuses_a_directory_others_control(
     blocker = tmp_path / "not-a-directory"
     blocker.write_bytes(b"")
     monkeypatch.setattr(_accel, "_CACHE_DIR", blocker / "__pycache__")
-    assert _accel.load() is None
-    reason = _accel.UNAVAILABLE_REASON
+    with pytest.raises(_accel.Unavailable) as info:
+        _accel.load()
+    reason = str(info.value)
     assert f"{private} is not a private directory" in reason
     assert aead.backend_info() == {"backend": "pure", "library": None, "unavailable_reason": reason}
     assert list(target.iterdir()) == []
@@ -1274,8 +1302,6 @@ def _objdump(*options: str) -> str:
     import shutil
     import subprocess
 
-    from ascon_aead import _accel
-
     compiler, objdump = shutil.which("cc"), shutil.which("objdump")
     if (platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc"
             or compiler is None or objdump is None):
@@ -1285,8 +1311,9 @@ def _objdump(*options: str) -> str:
     gnuc = re.search(r"#define __GNUC__ (\d+)", macros)
     if "__clang__" in macros or gnuc is None or int(gnuc[1]) < 12:
         pytest.skip("cc is not gcc 12 or later, so _accel.c builds one body")
-    assert accel_available(), _accel.UNAVAILABLE_REASON
-    return subprocess.run([objdump, *options, _accel.LIBRARY],
+    info = aead.backend_info()
+    assert info["backend"] == "kernel", info["unavailable_reason"]
+    return subprocess.run([objdump, *options, info["library"]],
                           capture_output=True, text=True, timeout=60, check=True).stdout
 
 
@@ -1329,7 +1356,7 @@ def test_one_body_build_starts_on_a_64_byte_boundary(monkeypatch, tmp_path, fres
     monkeypatch.setattr(_accel, "_CACHE_DIR", tmp_path / "cache")
     starts = [int(address, 16) for address in
               re.findall(r"^([0-9a-f]+) .*\sascon_aead$", _objdump("-t"), re.M)]
-    assert _accel.LIBRARY.startswith(str(tmp_path / "cache"))
+    assert aead.backend_info()["library"].startswith(str(tmp_path / "cache"))
     assert len(starts) == 1 and starts[0] % 64 == 0, [hex(start) for start in starts]
 
 

@@ -287,8 +287,9 @@ def test_kernel_mutant_is_detected(name, kat_records, monkeypatch, capsys, tmp_p
     edit, earliest = KERNEL_CASES[name]
     use_kernel_mutant(monkeypatch, tmp_path, edit)
     report = run_kat(kat_records["ascon128"][:2], ASCON_128)
-    assert aead._accel_backend is _accel.load(), _accel.UNAVAILABLE_REASON
-    assert _accel.LIBRARY.startswith(str(tmp_path / "cache"))
+    info = aead.backend_info()
+    assert info["backend"] == "kernel", info["unavailable_reason"]
+    assert info["library"].startswith(str(tmp_path / "cache"))
     assert any(
         f.count == earliest and f.direction == "encrypt" for f in report.failures
     ), f"kernel mutant {name!r} missed by record {earliest}"
@@ -310,9 +311,10 @@ def test_portable_kernel_body_passes_both_kat_files(kat_records, monkeypatch, ca
         report = run_kat(kat_records[name], params)
         assert report.failures == ()
         assert report.passed == 2 * len(kat_records[name])
-    assert aead._accel_backend is _accel.load(), _accel.UNAVAILABLE_REASON
-    assert _accel.LIBRARY.startswith(str(tmp_path / "cache"))
-    assert b"arch_x86_64_v3" not in Path(_accel.LIBRARY).read_bytes()
+    info = aead.backend_info()
+    assert info["backend"] == "kernel", info["unavailable_reason"]
+    assert info["library"].startswith(str(tmp_path / "cache"))
+    assert b"arch_x86_64_v3" not in Path(info["library"]).read_bytes()
     assert run_selftest(capsys) == (0, [])
 
 
