@@ -18,14 +18,16 @@ that takes the variant's IV as its only parameter; otherwise they compose
 the phases here.  `_get_accel` picks the backend once, under `_accel_lock`,
 and keeps it and any fallback's reason here, for `backend_info` to report.
 
-Each backend checks every argument once, and both raise the same errors,
-which name the first argument at fault.  A `params` that is not a
-VariantParams never reaches the kernel: `_checked`, the pure path's check,
-refuses it on either.  The kernel verifies the tag and zeroes failed
-plaintext; its binding copies once a bytes-like argument that is not `bytes`,
-and zeroes that copy before freeing it.  CPython's own objects cannot be
-wiped: the caller's `bytes`, and the pure path's copies and ints, stay in
-freed memory until it is reused.
+Each backend checks every argument of `encrypt` and `decrypt` before any
+work, and both raise the same errors, which name the first argument at
+fault; each phase function checks its bytes arguments with the same words,
+through `_as_bytes`.  A `params` that is not a VariantParams never reaches
+the kernel: `_checked`, the pure path's check, refuses it on either.  The
+kernel verifies the tag and zeroes failed plaintext; its binding copies
+once a bytes-like argument that is not `bytes`, and zeroes that copy before
+freeing it.  CPython's own objects cannot be wiped: the caller's `bytes`,
+and the pure path's copies and ints, stay in freed memory until it is
+reused.
 
 Neither path branches on, or indexes memory by, secret values in its
 source, but only the kernel is constant-time: the phases here compute on
@@ -77,6 +79,10 @@ class VariantParams:
     specification lays it out: k || r || a || b || 0*.  The constructor
     rejects values the cipher does not use, and copies and pickles are
     rebuilt through it.  Equality, hashing and repr go by `_fields`.
+
+    Only the two standard rows, (rate_bytes, rounds_b) = (8, 6) and
+    (16, 8), are checked by bundled vectors.  The other four rows build and
+    run on both backends, but nothing checks their output.
     """
 
     _fields = ("name", "rate_bytes", "rounds_b")
@@ -133,11 +139,6 @@ ASCON_128A = VariantParams("ASCON-128a", rate_bytes=16, rounds_b=8)
 VARIANTS = {"ascon128": ASCON_128, "ascon128a": ASCON_128A}
 
 
-def _check_length(name: str, value: bytes, size: int) -> None:
-    if len(value) != size:
-        raise ValueError(f"{name} must be {size} bytes, got {len(value)}")
-
-
 #: Each argument after params, in order: its name and its length (0: any).
 _ENCRYPT_ARGS = (("key", KEY_BYTES), ("nonce", NONCE_BYTES), ("associated_data", 0),
                  ("plaintext", 0))
@@ -145,9 +146,14 @@ _DECRYPT_ARGS = _ENCRYPT_ARGS[:3] + (("ciphertext", 0), ("tag", TAG_BYTES))
 
 
 def _checked(table, params, *args) -> list:
-    """`args` as bytes, or the error that names the first fault: types, then lengths."""
+    """`args` as bytes, or the error that names the first fault: params, then `_as_bytes`."""
     if not isinstance(params, VariantParams):
         raise TypeError(f"params must be a VariantParams, not {type(params).__name__}")
+    return _as_bytes(table, *args)
+
+
+def _as_bytes(table, *args) -> list:
+    """`args` as bytes, or the error that names the first fault: types, then lengths."""
     converted = []
     for (name, _), value in zip(table, args):
         try:
@@ -156,8 +162,8 @@ def _checked(table, params, *args) -> list:
             kind = type(value).__name__
             raise TypeError(f"{name} must be a bytes-like object, not {kind}") from None
     for (name, size), value in zip(table, converted):
-        if size:
-            _check_length(name, value, size)
+        if size and len(value) != size:
+            raise ValueError(f"{name} must be {size} bytes, got {len(value)}")
     return converted
 
 
@@ -212,8 +218,7 @@ def _with_rate(state: State, value: int, rate: int) -> State:
 
 def initialize(params: VariantParams, key: bytes, nonce: bytes) -> State:
     """Pack IV || K || N, run the a-round permutation, then XOR 0* || K in."""
-    _check_length("key", key, KEY_BYTES)
-    _check_length("nonce", nonce, NONCE_BYTES)
+    key, nonce = _as_bytes(_ENCRYPT_ARGS[:2], key, nonce)
     state = State.from_bytes(params._iv + key + nonce)
     state = permute(state, ROUNDS_A)
     k1, k2 = int.from_bytes(key[:8], "big"), int.from_bytes(key[8:], "big")
@@ -265,6 +270,7 @@ def process_associated_data(state: State, params: VariantParams, ad: bytes) -> S
     XOR of 1 into the last bit of s4 happens unconditionally, fencing the AD
     phase off from the data phase.
     """
+    ad, = _as_bytes(_ENCRYPT_ARGS[2:3], ad)
     if ad:
         state = permute(_duplex(state, params, ad, ABSORB)[0], params.rounds_b)
     return state._replace(s4=state.s4 ^ 1)
@@ -274,6 +280,7 @@ def encrypt_data(
     state: State, params: VariantParams, plaintext: bytes
 ) -> tuple[State, bytes]:
     """Duplex-encrypt each padded block; the ciphertext is as long as the plaintext."""
+    plaintext, = _as_bytes(_ENCRYPT_ARGS[3:4], plaintext)
     return _duplex(state, params, plaintext, ENCRYPT)
 
 
@@ -281,6 +288,7 @@ def decrypt_data(
     state: State, params: VariantParams, ciphertext: bytes
 ) -> tuple[State, bytes]:
     """Duplex-decrypt; exact inverse of encrypt_data on state and data."""
+    ciphertext, = _as_bytes(_DECRYPT_ARGS[3:4], ciphertext)
     return _duplex(state, params, ciphertext, DECRYPT)
 
 
@@ -290,7 +298,7 @@ def finalize(state: State, params: VariantParams, key: bytes) -> bytes:
     The tag is the last two state words XORed with the key, emitted
     big-endian.
     """
-    _check_length("key", key, KEY_BYTES)
+    key, = _as_bytes(_ENCRYPT_ARGS[:1], key)
     k1, k2 = int.from_bytes(key[:8], "big"), int.from_bytes(key[8:], "big")
     words = list(state)
     w = params.rate_bytes // 8

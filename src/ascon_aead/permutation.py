@@ -33,8 +33,9 @@ class State(namedtuple("State", "s0 s1 s2 s3 s4")):
     """The permutation state as five 64-bit words s0..s4; a plain immutable value.
 
     All word arithmetic is modulo 2**64 and strictly unsigned.  `permute`
-    and the two layer functions refuse a word outside 0..2**64-1; given
-    words in it, every function in this module returns words in it.
+    and the two layer functions refuse a state that is not five int words
+    in 0..2**64-1; given words in it, every function in this module returns
+    words in it.
     """
 
     __slots__ = ()
@@ -52,10 +53,17 @@ class State(namedtuple("State", "s0 s1 s2 s3 s4")):
 
 
 def _checked_words(state: State) -> State:
-    """`state`, or ValueError when a word is outside 0..2**64-1."""
-    x0, x1, x2, x3, x4 = state
-    if not 0 <= x0 | x1 | x2 | x3 | x4 <= MASK64:
-        raise ValueError("state words must be in 0..2**64-1")  # no value: words can be secret
+    """`state`, or TypeError unless it is five int words, or ValueError when
+    a word is outside 0..2**64-1.  No error prints a word: words can be secret."""
+    try:
+        x0, x1, x2, x3, x4 = state
+        words = x0 | x1 | x2 | x3 | x4  # an int only if every word is one
+    except (TypeError, ValueError):  # not five words, or a word with no int `|`
+        words = None
+    if not isinstance(words, int):
+        raise TypeError("state must be five int words")
+    if not 0 <= words <= MASK64:
+        raise ValueError("state words must be in 0..2**64-1")
     return state
 
 
@@ -109,8 +117,9 @@ def permute(state: State, rounds: int = 12, observe=None) -> State:
     is given, it is called as observe(round_index, step, state) after each
     step, with step "post-constant", "post-sbox" or "post-linear" and
     round_index the position in the 12-round schedule.  A round count that
-    is not an int raises TypeError, and one not in VALID_ROUNDS, or a word
-    outside 0..2**64-1, raises ValueError.
+    is not an int, or a state that is not five int words, raises TypeError,
+    and a round count not in VALID_ROUNDS, or a word outside 0..2**64-1,
+    raises ValueError.
     """
     if not isinstance(rounds, int):
         raise TypeError(f"rounds must be an int, not {type(rounds).__name__}")

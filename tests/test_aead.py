@@ -543,6 +543,25 @@ class TestInputContract:
             assert binding_calls == [info.value]
             assert (info.value.__cause__, info.value.__context__) == (None, None)
 
+    @pytest.mark.parametrize("name", ["key", "nonce", "associated_data", "plaintext",
+                                      "ciphertext", "final key"])
+    def test_phases_reject_a_str_by_name_without_its_value(self, name):
+        # the phases word it as encrypt and decrypt do, and take any bytes-like value
+        state = initialize(ASCON_128, KEY, NONCE)
+        secret = "k" * 16
+        calls = {
+            "key": lambda value: initialize(ASCON_128, value, NONCE),
+            "nonce": lambda value: initialize(ASCON_128, KEY, value),
+            "associated_data": lambda value: process_associated_data(state, ASCON_128, value),
+            "plaintext": lambda value: encrypt_data(state, ASCON_128, value),
+            "ciphertext": lambda value: decrypt_data(state, ASCON_128, value),
+            "final key": lambda value: finalize(state, ASCON_128, value),
+        }
+        with pytest.raises(TypeError) as info:
+            calls[name](secret)
+        assert str(info.value) == f"{name.split()[-1]} must be a bytes-like object, not str"
+        assert calls[name](bytearray(KEY)) == calls[name](memoryview(KEY)) == calls[name](KEY)
+
     @pytest.mark.parametrize("short", ["key", "nonce", "tag"])
     def test_short_inputs_never_reach_the_kernel(self, backend, binding_calls, short):
         # On the kernel path the binding refuses a short input before the

@@ -1,11 +1,13 @@
+import random
+
 import pytest
 
-from ascon_aead import _accel, aead
+from ascon_aead import _accel, aead, kat
 from ascon_aead.aead import ASCON_128, ASCON_128A
 from ascon_aead.codec import hex_encode
 from ascon_aead.kat import KatParseError, KatRecord, KatReport, parse_kat_file, run_kat
 
-from conftest import PORTABLE_BODY, accel_available, run_selftest
+from conftest import PORTABLE_BODY, VARIANT_NAMES, accel_available, kat_path, run_selftest
 from mutants import BUG_MUTANTS, KERNEL_MUTANTS, UNCOMPLEMENTED_K2, use_kernel_mutant
 from oracles import serialize_records
 
@@ -157,6 +159,156 @@ class TestParser:
         text = WELL_FORMED.replace("Key = 000102030405060708090A0B0C0D0E0F", "Key = 00", 1)
         with pytest.raises(KatParseError, match="key must be 16 bytes"):
             parse_kat_file(text)
+
+
+def parse_outcome(parse, text):
+    """The records `parse` gives for `text`, or its KatParseError as (type, message, line)."""
+    try:
+        return parse(text)
+    except KatParseError as exc:
+        return type(exc), str(exc), exc.line_number
+
+
+def _edit_one_line(rng: random.Random, lines: list[str]) -> None:
+    """Apply one edit of the kinds a hand-edited KAT file shows, in place."""
+    i = rng.randrange(len(lines))
+    line = lines[i]
+    kind = rng.choice(("squeeze", "pad", "delete", "G", "blank", "rename", "swap", "duplicate",
+                       "formfeed", "lowercase"))
+    if kind == "squeeze":
+        lines[i] = line.replace(" = ", "=")
+    elif kind == "pad":
+        lines[i] = rng.choice((" " + line, line + " ", "\t" + line + "  "))
+    elif kind == "delete" and line:
+        j = rng.randrange(len(line))
+        lines[i] = line[:j] + line[j + 1 :]
+    elif kind == "G":
+        lines[i] = line + "G"
+    elif kind == "blank":
+        lines[i] = ""
+    elif kind == "rename":
+        _, eq, value = line.partition(" =")
+        lines[i] = rng.choice(("Count", "Key", "Nonce", "PT", "AD", "CT", "Tag")) + eq + value
+    elif kind == "swap":
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], line
+    elif kind == "duplicate":
+        lines.insert(i, line)
+    elif kind == "formfeed":
+        lines[i] = "\f" + line
+    elif kind == "lowercase":
+        lines[i] = _lowercase_values(line)
+
+
+def edited_files(count: int, seed: int) -> list[str]:
+    """`count` texts, each the first 60 or 63 lines of the ASCON-128 file
+    after 1-3 line edits, with LF, CRLF or CR line ends.  63 lines end at a
+    blank line after record 9; 60 cut record 9 short."""
+    rng = random.Random(seed)
+    head = kat_path("ascon128").read_text().split("\n")[:63]
+    texts = []
+    for _ in range(count):
+        lines = head[: rng.choice((60, 63))]
+        for _ in range(rng.randint(1, 3)):
+            _edit_one_line(rng, lines)
+        newline = rng.choice(("\n", "\r\n", "\r"))
+        texts.append(newline.join(lines) + newline)
+    return texts
+
+
+def _lowercase_values(text: str) -> str:
+    return "\n".join(name + eq + value.lower()
+                     for name, eq, value in (line.partition("=") for line in text.split("\n")))
+
+
+#: Records 1 and 2 of the ASCON-128 file, in the generator's layout.
+GENERATED = "\n".join(kat_path("ascon128").read_text().split("\n")[:14]) + "\n"
+THREE_RECORDS = GENERATED + GENERATED.replace("Count = 1", "Count = 3").split("\n\n")[0] + "\n\n"
+KEY_LINE = "Key = 000102030405060708090A0B0C0D0E0F"
+
+
+class TestSplitAgreesWithLineLoop:
+    """parse_kat_file splits text in the generator's layout in one regex
+    pass and hands all other text to the line loop, `kat._parse_lines`; on
+    any text both give the same records, or the same error at the same line."""
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_bundled_file(self, variant, newline):
+        text = kat_path(variant).read_text().replace("\n", newline)
+        records = parse_kat_file(text)
+        assert len(records) == 1089
+        assert records == kat._parse_lines(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            GENERATED,
+            _lowercase_values(GENERATED),
+            GENERATED.replace(KEY_LINE, KEY_LINE[:-1], 1),
+            GENERATED.replace(KEY_LINE, KEY_LINE[:-2], 1),
+            GENERATED.replace("Nonce" + KEY_LINE[3:], "Nonce" + KEY_LINE[3:-2], 1),
+            GENERATED.replace(KEY_LINE, KEY_LINE[:-16] + " " + KEY_LINE[-16:], 1),
+            GENERATED.replace(KEY_LINE + "\n", KEY_LINE + "\r\n", 1),
+            GENERATED.replace("CT = E355159F292911F794CB1432A0103A8A", "CT = E355159F29", 1),
+            GENERATED.replace("Count = 1", "Count = 1" + "0" * 4300, 1),
+            GENERATED.replace("Count = 1", "Count = 01", 1),
+            GENERATED.replace("Count = 1", "Count = 0", 1),
+            GENERATED.replace("Count = 2", "Count = 1", 1),
+            THREE_RECORDS,
+            THREE_RECORDS.replace("Count = 2", "Count = 4", 1),
+            GENERATED.replace("\n\nCount = 2", "\n\n\nCount = 2", 1),
+            GENERATED.replace("\n\nCount = 2", "\nCount = 2", 1),
+            GENERATED.rstrip("\n"),
+            GENERATED.rstrip("\n") + "\n",
+            GENERATED + "\n",
+            "",
+            "\n",
+        ],
+        ids=["as-generated", "lowercase-hex", "odd-key", "short-key", "short-nonce", "space-in-key",
+             "one-crlf", "odd-ct", "count-4301-digits", "count-01", "count-0",
+             "count-repeated", "counts-1-2-3", "counts-1-4-3", "two-blank-lines",
+             "no-blank-line", "no-final-newline", "no-final-blank-line",
+             "two-final-blank-lines", "empty", "one-blank-line"],
+    )
+    def test_edge_case(self, text):
+        assert parse_outcome(parse_kat_file, text) == parse_outcome(kat._parse_lines, text)
+
+    def test_edited_files(self):
+        for text in edited_files(300, seed=31):
+            assert parse_outcome(parse_kat_file, text) == parse_outcome(kat._parse_lines, text)
+
+
+def _refuse_line_loop(text):
+    raise AssertionError("parse_kat_file fell back to the line loop")
+
+
+class TestGeneratedLayoutTakesTheSplit:
+    """Files as the NIST generator and the benchmark write them never reach
+    the line loop, so a change that drops them to it fails here."""
+
+    def test_bundled_files(self, monkeypatch):
+        texts = [kat_path(variant).read_text() for variant in VARIANT_NAMES]
+        expected = [kat._parse_lines(text) for text in texts]
+        monkeypatch.setattr(kat, "_parse_lines", _refuse_line_loop)
+        assert [parse_kat_file(text) for text in texts] == expected
+
+    @pytest.mark.parametrize("shape", ["128 short records", "one 64 KiB record"])
+    def test_benchmark_layout(self, shape, monkeypatch):
+        rng = random.Random(shape)
+        sizes = [(rng.randrange(65), rng.randrange(33)) for _ in range(128)]
+        records = []
+        for count, (pt_len, ad_len) in enumerate(
+            sizes if shape == "128 short records" else [(65536, 16)], start=1
+        ):
+            key, nonce, pt, ad = (rng.randbytes(n) for n in (16, 16, pt_len, ad_len))
+            ct, tag = aead.encrypt(ASCON_128, key, nonce, ad, pt)
+            records.append(KatRecord(count, key, nonce, pt, ad, ct + tag))
+        # bench/run.py's write_kat_file writes no blank line after the last record
+        text = serialize_records(records).removesuffix("\n")
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        monkeypatch.setattr(kat, "_parse_lines", _refuse_line_loop)
+        assert parse_kat_file(text) == records
 
 
 class TestRecordTypes:

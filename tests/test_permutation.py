@@ -157,6 +157,17 @@ class TestPermute:
             with pytest.raises(ValueError, match=r"^state words must be in 0\.\.2\*\*64-1$"):
                 run(State(*words))
 
+    @pytest.mark.parametrize(
+        "state",
+        [State(1.0, 0, 0, 0, 0), (1, 2, 3, 4), (0,) * 6, 7, "abcde", State(0, 0, 0, 0, None)],
+        ids=["float-word", "four-words", "six-words", "int", "str", "none-word"],
+    )
+    def test_rejects_a_state_that_is_not_five_int_words(self, state):
+        # permute and both public layers share the one check, which prints no word
+        for run in (lambda state: permute(state, 6), substitution_layer, linear_layer):
+            with pytest.raises(TypeError, match=r"^state must be five int words$"):
+                run(state)
+
     @pytest.mark.parametrize("word", [0, MASK64])
     def test_accepts_the_word_range_ends(self, word):
         assert all(0 <= w <= MASK64 for w in permute(State(*[word] * 5), 6))
