@@ -8,10 +8,11 @@ rounds, drive the same four-phase duplex flow:
 The phase functions are exposed individually (they are pure State -> State
 transformers) so the trace tooling and tests can pin intermediate states.
 They are the reference definition of the cipher.  The AD and data phases
-share one duplex routine, `_duplex`, of which the kernel's `duplex` is a
-copy.  It handles the rate as one big-endian integer (s0, or s0 || s1),
-moves blocks in and out of it with int.from_bytes/int.to_bytes, and runs
-every permutation through `permute`, imported from `permutation` by name.
+share one duplex routine, `_duplex`: one loop over the 10*-padded blocks,
+the last one included, with the state in five int locals and the rate as
+one big-endian int (s0, or s0 || s1).  The kernel's `duplex` runs the same
+steps, with the last block split off as a byte loop.  Every permutation
+runs through `permute`, imported from `permutation` by name.
 When the optional compiled kernel (`_accel`) loads, `encrypt` and `decrypt`
 run each message through it in one call, a compiled copy of these phases
 that takes the variant's IV as its only parameter; otherwise they compose
@@ -20,14 +21,14 @@ and keeps it and any fallback's reason here, for `backend_info` to report.
 
 Each backend checks every argument of `encrypt` and `decrypt` before any
 work, and both raise the same errors, which name the first argument at
-fault; each phase function checks its bytes arguments with the same words,
-through `_as_bytes`.  A `params` that is not a VariantParams never reaches
-the kernel: `_checked`, the pure path's check, refuses it on either.  The
-kernel verifies the tag and zeroes failed plaintext; its binding copies
-once a bytes-like argument that is not `bytes`, and zeroes that copy before
-freeing it.  CPython's own objects cannot be wiped: the caller's `bytes`,
-and the pure path's copies and ints, stay in freed memory until it is
-reused.
+fault.  Each phase function checks its params and bytes arguments with
+the same words, through the pure path's check, `_checked`, and its state
+as `permute` does.  A `params` that is not a VariantParams never reaches
+the kernel: `_checked` refuses it on either.  The kernel verifies the tag
+and zeroes failed plaintext; its binding copies once a bytes-like argument
+that is not `bytes`, and zeroes that copy before freeing it.  CPython's
+own objects cannot be wiped: the caller's `bytes`, and the pure path's
+copies and ints, stay in freed memory until it is reused.
 
 Neither path branches on, or indexes memory by, secret values in its
 source, but only the kernel is constant-time: the phases here compute on
@@ -48,7 +49,7 @@ import _thread
 
 # The phases look `permute` up here at call time, so a stand-in set on this
 # module (a counter, a tracer) sees every permutation they run.
-from .permutation import MASK64, VALID_ROUNDS, State, permute
+from .permutation import MASK64, VALID_ROUNDS, State, _checked_words, permute
 
 KEY_BYTES = 16
 NONCE_BYTES = 16
@@ -146,14 +147,9 @@ _DECRYPT_ARGS = _ENCRYPT_ARGS[:3] + (("ciphertext", 0), ("tag", TAG_BYTES))
 
 
 def _checked(table, params, *args) -> list:
-    """`args` as bytes, or the error that names the first fault: params, then `_as_bytes`."""
+    """`args` as bytes, or the error that names the first fault: params, types, then lengths."""
     if not isinstance(params, VariantParams):
         raise TypeError(f"params must be a VariantParams, not {type(params).__name__}")
-    return _as_bytes(table, *args)
-
-
-def _as_bytes(table, *args) -> list:
-    """`args` as bytes, or the error that names the first fault: types, then lengths."""
     converted = []
     for (name, _), value in zip(table, args):
         try:
@@ -204,63 +200,52 @@ def backend_info() -> dict:
     }
 
 
-def _rate_of(state: State, rate: int) -> int:
-    """The rate portion of the state as one big-endian integer: s0, or s0 || s1."""
-    return state.s0 if rate == 8 else state.s0 << 64 | state.s1
-
-
-def _with_rate(state: State, value: int, rate: int) -> State:
-    """The state with its rate portion replaced by `value`; inverse of _rate_of."""
-    if rate == 8:
-        return state._replace(s0=value)
-    return state._replace(s0=value >> 64, s1=value & MASK64)
-
-
 def initialize(params: VariantParams, key: bytes, nonce: bytes) -> State:
     """Pack IV || K || N, run the a-round permutation, then XOR 0* || K in."""
-    key, nonce = _as_bytes(_ENCRYPT_ARGS[:2], key, nonce)
+    key, nonce = _checked(_ENCRYPT_ARGS[:2], params, key, nonce)
     state = State.from_bytes(params._iv + key + nonce)
     state = permute(state, ROUNDS_A)
     k1, k2 = int.from_bytes(key[:8], "big"), int.from_bytes(key[8:], "big")
     return state._replace(s3=state.s3 ^ k1, s4=state.s4 ^ k2)
 
 
-def _duplex(state: State, params: VariantParams, data: bytes, mode: int) -> tuple[State, bytes]:
+def _duplex(state, params: VariantParams, data: bytes, mode: int) -> tuple[State, bytes]:
     """Absorb, encrypt or decrypt `data`; the new state and the output.
 
-    Step for step as its twin, `duplex` in _accel.c, which holds the rate as
-    the word x0 and, at rate 16, x1: a rounds_b permutation after each whole
-    block, none after the last 0 <= n < rate bytes and their padding.
-    ENCRYPT emits the rate after absorbing, DECRYPT the rate XOR the input,
-    which then becomes the rate (in the last block, its top n bytes).
+    One loop over the blocks of `data` padded with 10* to whole rates, the
+    last block included, with a rounds_b permutation between blocks and
+    none after the last.  The rate is one big-endian int (x0, or x0 || x1),
+    and a block of n bytes meets its top n bytes; only the last block is
+    short, so only it takes the padding.  ENCRYPT emits the rate after
+    absorbing, DECRYPT the rate XOR the input, which then becomes the top
+    n bytes of the rate.  The kernel's `duplex` in _accel.c runs the same
+    steps, with the last block split off as a byte loop.
     """
     rate, rounds = params.rate_bytes, params.rounds_b
-    last = len(data) - len(data) % rate  # whole blocks, each permuted after
+    x0, x1, x2, x3, x4 = state
     out = bytearray()
-    for off in range(0, last, rate):
-        block = int.from_bytes(data[off : off + rate], "big")
-        value = _rate_of(state, rate)
+    for off in range(0, len(data) + 1, rate):
+        if off:
+            x0, x1, x2, x3, x4 = permute((x0, x1, x2, x3, x4), rounds)
+        block = data[off : off + rate]
+        n = len(block)
+        low = 8 * (rate - n)  # the rate's bits below the block
+        bits = int.from_bytes(block, "big") << low
+        value = x0 if rate == 8 else x0 << 64 | x1
         if mode == DECRYPT:
-            out += (value ^ block).to_bytes(rate, "big")
-            value = block
+            out += ((value ^ bits) >> low).to_bytes(n, "big")
+            value = bits | value & ((1 << low) - 1)
         else:
-            value ^= block
+            value ^= bits
             if mode == ENCRYPT:
-                out += value.to_bytes(rate, "big")
-        state = permute(_with_rate(state, value, rate), rounds)
-    n = len(data) - last
-    low = 8 * (rate - n)  # the rate's bits below the last n bytes
-    tail = int.from_bytes(data[last:], "big") << low
-    value = _rate_of(state, rate)
-    if mode == DECRYPT:
-        out += ((value ^ tail) >> low).to_bytes(n, "big")
-        value = tail | value & ((1 << low) - 1)
-    else:
-        value ^= tail
-        if mode == ENCRYPT:
-            out += (value >> low).to_bytes(n, "big")
-    value ^= 0x80 << 8 * (rate - n - 1)
-    return _with_rate(state, value, rate), bytes(out)
+                out += (value >> low).to_bytes(n, "big")
+        if low:
+            value ^= 0x80 << low - 8
+        if rate == 8:
+            x0 = value
+        else:
+            x0, x1 = value >> 64, value & MASK64
+    return State(x0, x1, x2, x3, x4), bytes(out)
 
 
 def process_associated_data(state: State, params: VariantParams, ad: bytes) -> State:
@@ -270,7 +255,8 @@ def process_associated_data(state: State, params: VariantParams, ad: bytes) -> S
     XOR of 1 into the last bit of s4 happens unconditionally, fencing the AD
     phase off from the data phase.
     """
-    ad, = _as_bytes(_ENCRYPT_ARGS[2:3], ad)
+    state = State(*_checked_words(state))
+    ad, = _checked(_ENCRYPT_ARGS[2:3], params, ad)
     if ad:
         state = permute(_duplex(state, params, ad, ABSORB)[0], params.rounds_b)
     return state._replace(s4=state.s4 ^ 1)
@@ -280,7 +266,8 @@ def encrypt_data(
     state: State, params: VariantParams, plaintext: bytes
 ) -> tuple[State, bytes]:
     """Duplex-encrypt each padded block; the ciphertext is as long as the plaintext."""
-    plaintext, = _as_bytes(_ENCRYPT_ARGS[3:4], plaintext)
+    state = _checked_words(state)
+    plaintext, = _checked(_ENCRYPT_ARGS[3:4], params, plaintext)
     return _duplex(state, params, plaintext, ENCRYPT)
 
 
@@ -288,7 +275,8 @@ def decrypt_data(
     state: State, params: VariantParams, ciphertext: bytes
 ) -> tuple[State, bytes]:
     """Duplex-decrypt; exact inverse of encrypt_data on state and data."""
-    ciphertext, = _as_bytes(_DECRYPT_ARGS[3:4], ciphertext)
+    state = _checked_words(state)
+    ciphertext, = _checked(_DECRYPT_ARGS[3:4], params, ciphertext)
     return _duplex(state, params, ciphertext, DECRYPT)
 
 
@@ -298,9 +286,9 @@ def finalize(state: State, params: VariantParams, key: bytes) -> bytes:
     The tag is the last two state words XORed with the key, emitted
     big-endian.
     """
-    key, = _as_bytes(_ENCRYPT_ARGS[:1], key)
+    words = list(_checked_words(state))
+    key, = _checked(_ENCRYPT_ARGS[:1], params, key)
     k1, k2 = int.from_bytes(key[:8], "big"), int.from_bytes(key[8:], "big")
-    words = list(state)
     w = params.rate_bytes // 8
     words[w] ^= k1
     words[w + 1] ^= k2

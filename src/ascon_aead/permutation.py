@@ -52,9 +52,10 @@ class State(namedtuple("State", "s0 s1 s2 s3 s4")):
         return b"".join(w.to_bytes(8, "big") for w in self)
 
 
-def _checked_words(state: State) -> State:
-    """`state`, or TypeError unless it is five int words, or ValueError when
-    a word is outside 0..2**64-1.  No error prints a word: words can be secret."""
+def _checked_words(state: State) -> tuple[int, int, int, int, int]:
+    """The five words of `state`, or TypeError unless it is five int words, or
+    ValueError when a word is outside 0..2**64-1.  No error prints a word:
+    words can be secret."""
     try:
         x0, x1, x2, x3, x4 = state
         words = x0 | x1 | x2 | x3 | x4  # an int only if every word is one
@@ -64,7 +65,7 @@ def _checked_words(state: State) -> State:
         raise TypeError("state must be five int words")
     if not 0 <= words <= MASK64:
         raise ValueError("state words must be in 0..2**64-1")
-    return state
+    return x0, x1, x2, x3, x4
 
 
 def _sbox(x0: int, x1: int, x2: int, x3: int, x4: int) -> tuple[int, int, int, int, int]:

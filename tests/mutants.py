@@ -7,13 +7,15 @@ whole bug class on the reference path.  Each edit asserts that its text
 still matches the function, so a mutant cannot silently stop applying.
 The `detected_by` count is the earliest KAT record whose CT field must
 diverge: 1 for bugs visible with empty inputs, 2 (the first record with
-non-empty associated data) for the AD-phase bug.
+non-empty associated data) for the AD-phase bug, and 9 (the first with a
+whole AD block) for padding a whole block.  The tests run the first
+KAT_HEAD records of each file, which reach a whole AD block at either rate.
 
 KEY_BIT_BRANCH is no bug the KAT files can see: a branch on a key bit
 that leaves every output as it was, which tests/test_control_flow.py must
 catch.
 
-KERNEL_MUTANTS carries the same seven bug classes into the compiled kernel
+KERNEL_MUTANTS carries the same nine bug classes into the compiled kernel
 as edits of its C source, which a test builds and loads; each must be
 caught by the same earliest record as its Python twin.  UNCOMPLEMENTED_K2
 is a kernel bug with no twin, caught the same way.  KERNEL_KEY_BIT_BRANCH
@@ -84,6 +86,9 @@ def kernel_copy(directory: Path, edit=None) -> Path:
     return copy
 
 
+#: The KAT records with no PT, AD of 0 to 32 bytes: the mutant tests' head of each file.
+KAT_HEAD = 33
+
 #: name -> (apply(monkeypatch), earliest KAT count whose CT must diverge)
 BUG_MUTANTS = {
     "wrong round constants": (
@@ -125,6 +130,15 @@ BUG_MUTANTS = {
               ("return state._replace(s4=state.s4 ^ 1)", "return state")),
         1,
     ),
+    "pad every block": (
+        # the guard dropped: a whole block takes 0x80 too, in its top byte,
+        # where the pad's shift taken mod the rate's width puts it (a
+        # negative shift would raise, not diverge)
+        _edit(aead, "_duplex", ("if low:", "if True:"),
+              ("0x80 << low - 8", "0x80 << (low - 8) % (8 * rate)")),
+        9,
+    ),
+    "permute before the first block": (_edit(aead, "_duplex", ("if off:", "if True:")), 1),
 }
 
 #: A negative control for the control-flow test: `initialize` branches on a
@@ -157,6 +171,13 @@ KERNEL_MUTANTS = {
         "s = duplex(s, ad, NULL, adlen, rate, rounds_b, ABSORB);",
     ),
     "missing domain separator": ("s.x4 ^= 1;", ""),
+    "pad every block": (
+        "        s = permute(s, rounds);\n    }",
+        "        s.x0 ^= 0x8000000000000000u;\n        s = permute(s, rounds);\n    }",
+    ),
+    "permute before the first block": (
+        "    unsigned char r[16];\n", "    unsigned char r[16];\n    s = permute(s, rounds);\n"
+    ),
 }
 
 #: Negative controls for the kernel's control-flow test, as edits of

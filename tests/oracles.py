@@ -5,7 +5,9 @@ from __future__ import annotations
 
 from ascon_aead.codec import hex_encode
 from ascon_aead.kat import KatRecord
-from ascon_aead.permutation import ROTATIONS, ROUND_CONSTANTS, State, substitution_layer
+from ascon_aead.permutation import (
+    ROTATIONS, ROUND_CONSTANTS, State, permute, substitution_layer,
+)
 
 # The 5-bit S-box as a lookup table, transcribed from the cipher's reference
 # specification (input x0..x4 with x0 the most significant bit).  The
@@ -85,6 +87,36 @@ def gf2_rank(vectors: list[int]) -> int:
                 break
             v ^= basis[top]
     return rank
+
+
+def duplex_from_spec(state: State, rate: int, rounds: int, data: bytes, mode: str):
+    """The duplex as the specification draws it, over bytes: (state, output).
+
+    `data` is padded with 10* to whole blocks of `rate` bytes.  Each block
+    meets the rate, the first `rate` bytes of the 40-byte state, and a
+    `rounds`-round permutation runs between blocks.  In mode "absorb" and
+    "encrypt" the block is XORed into the rate, and "encrypt" emits the
+    rate's first m bytes, m being the message bytes in the block: all of a
+    whole block, none of the padding.  "decrypt" emits the first m bytes
+    of rate XOR block as plaintext, and the rate becomes the block's first
+    m bytes, then its own remaining bytes XOR the padding.
+    """
+    padded = data + b"\x80" + bytes(rate - 1 - len(data) % rate)
+    output = b""
+    for start in range(0, len(padded), rate):
+        if start:
+            state = permute(state, rounds)
+        block = padded[start : start + rate]
+        m = min(rate, len(data) - start)
+        serial = state.to_bytes()
+        mixed = bytes(a ^ b for a, b in zip(serial[:rate], block))
+        if mode == "encrypt":
+            output += mixed[:m]
+        elif mode == "decrypt":
+            output += mixed[:m]
+            mixed = block[:m] + mixed[m:]
+        state = State.from_bytes(mixed + serial[rate:])
+    return state, output
 
 
 def unpad_10star(padded: bytes) -> bytes:

@@ -18,7 +18,7 @@ from ascon_aead.kat import run_kat
 from ascon_aead.permutation import State, substitution_layer
 
 from conftest import kat_path
-from mutants import BUG_MUTANTS
+from mutants import BUG_MUTANTS, KAT_HEAD
 from oracles import REFERENCE_SBOX, sbox_slicewise
 
 PARAMS = {"ascon128": ASCON_128, "ascon128a": ASCON_128A}
@@ -106,10 +106,11 @@ def test_4_forgery_sweep(backend):
 
 
 def test_5_bug_ledger_mutants(kat_records, pure_path):
-    """All seven catalogued bug classes are caught by record 1 or the first
-    non-empty-AD record.  The mutants patch the Python modules, so they run
-    on the reference path; the kernel's own mutants are in test_kat.py."""
-    head = kat_records["ascon128"][:2]
+    """All nine catalogued bug classes are caught by record 1, the first
+    non-empty-AD record, or the first whole-AD-block record.  The mutants
+    patch the Python modules, so they run on the reference path; the
+    kernel's own mutants are in test_kat.py."""
+    head = kat_records["ascon128"][:KAT_HEAD]
     detected = 0
     for name, (apply_bug, earliest) in sorted(BUG_MUTANTS.items()):
         with pytest.MonkeyPatch.context() as patch:
@@ -120,8 +121,8 @@ def test_5_bug_ledger_mutants(kat_records, pure_path):
         ), f"mutant not detected by record {earliest}: {name}"
         detected += 1
     assert run_kat(head, ASCON_128).failed == 0, "patches must not leak"
-    assert detected == 7
-    _ok("5 bug-ledger mutants", "7/7 detected")
+    assert detected == 9
+    _ok("5 bug-ledger mutants", "9/9 detected")
 
 
 def test_6_phase_fixtures(phase_fixtures):

@@ -29,6 +29,7 @@ from conftest import (
     PORTABLE_BODY, accel_available, build_kernel_driver, run_selftest, variant_like,
 )
 from mutants import FORGERY_MUTANTS, SHARED_STATE, use_kernel_mutant
+from oracles import duplex_from_spec
 
 KEY = bytes(range(16))
 NONCE = bytes(range(16))
@@ -263,6 +264,22 @@ class TestDataPhase:
             assert state_d == state_e
             assert aead._duplex(start, params, pt, aead.ABSORB) == (state_e, b"")
 
+    @pytest.mark.parametrize(
+        "rate, rounds_b", PAIRS, ids=[f"rounds_b-{b}-rate-{rate}" for rate, b in PAIRS]
+    )
+    def test_duplex_matches_the_spec_drawn_duplex(self, rate, rounds_b):
+        # every block edge up to 4 blocks, in each mode, on the state and the output
+        params = aead.VariantParams("any", rate, rounds_b)
+        rng = random.Random(rate * 100 + rounds_b)
+        sizes = [blocks * rate + step for blocks in range(5) for step in (-1, 0, 1)][1:]
+        for size in sizes:
+            start = State(*(rng.getrandbits(64) for _ in range(5)))
+            data = rng.randbytes(size)
+            for mode, name in ((aead.ABSORB, "absorb"), (aead.ENCRYPT, "encrypt"),
+                               (aead.DECRYPT, "decrypt")):
+                expected = duplex_from_spec(start, rate, rounds_b, data, name)
+                assert aead._duplex(start, params, data, mode) == expected, (size, name)
+
     @BOTH
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -493,11 +510,18 @@ class TestInputContract:
     def test_plain_bytes_make_one_binding_call_each(self, backend, binding_calls, monkeypatch):
         # and so does every other bytes-like kind, and every refused argument;
         # on the kernel path no check in Python: the binding's is the only
-        # one; and on either path the resolved backend is read without
-        # calling _get_accel
+        # one; on the pure path one whole-message check per call (the phases
+        # check their own arguments too); and on either path the resolved
+        # backend is read without calling _get_accel
         checked, lookups = [], []
         check, get_accel = aead._checked, aead._get_accel
-        monkeypatch.setattr(aead, "_checked", lambda *args: checked.append(args) or check(*args))
+
+        def counting(table, *args):
+            if table in (aead._ENCRYPT_ARGS, aead._DECRYPT_ARGS):
+                checked.append(args)
+            return check(table, *args)
+
+        monkeypatch.setattr(aead, "_checked", counting)
         monkeypatch.setattr(aead, "_get_accel", lambda: lookups.append(1) or get_accel())
         ct, tag = encrypt(ASCON_128, KEY, NONCE, b"ad", b"message")
         for kind in BYTES_LIKE.values():
@@ -544,9 +568,12 @@ class TestInputContract:
             assert (info.value.__cause__, info.value.__context__) == (None, None)
 
     @pytest.mark.parametrize("name", ["key", "nonce", "associated_data", "plaintext",
-                                      "ciphertext", "final key"])
+                                      "ciphertext", "final key", "initial params", "ad params",
+                                      "encrypt params", "decrypt params", "final params"])
     def test_phases_reject_a_str_by_name_without_its_value(self, name):
-        # the phases word it as encrypt and decrypt do, and take any bytes-like value
+        # the phases word it as encrypt and decrypt do, and take any bytes-like
+        # value; a str params is refused even where a state of plain ints and
+        # empty AD would need nothing from it
         state = initialize(ASCON_128, KEY, NONCE)
         secret = "k" * 16
         calls = {
@@ -556,11 +583,51 @@ class TestInputContract:
             "plaintext": lambda value: encrypt_data(state, ASCON_128, value),
             "ciphertext": lambda value: decrypt_data(state, ASCON_128, value),
             "final key": lambda value: finalize(state, ASCON_128, value),
+            "initial params": lambda value: initialize(value, KEY, NONCE),
+            "ad params": lambda value: process_associated_data(State(0, 0, 0, 0, 0), value, b""),
+            "encrypt params": lambda value: encrypt_data(state, value, b""),
+            "decrypt params": lambda value: decrypt_data(state, value, b""),
+            "final params": lambda value: finalize((0,) * 5, value, KEY),
         }
         with pytest.raises(TypeError) as info:
             calls[name](secret)
-        assert str(info.value) == f"{name.split()[-1]} must be a bytes-like object, not str"
-        assert calls[name](bytearray(KEY)) == calls[name](memoryview(KEY)) == calls[name](KEY)
+        if name.endswith("params"):
+            assert str(info.value) == "params must be a VariantParams, not str"
+            assert calls[name](ASCON_128) is not None
+        else:
+            assert str(info.value) == f"{name.split()[-1]} must be a bytes-like object, not str"
+            assert calls[name](bytearray(KEY)) == calls[name](memoryview(KEY)) == calls[name](KEY)
+
+    @pytest.mark.parametrize("phase", ["process_associated_data", "encrypt_data",
+                                       "decrypt_data", "finalize"])
+    @pytest.mark.parametrize("state, error", [
+        ((1, 2, 3, 4), TypeError), (State(1.0, 0, 0, 0, 0), TypeError), ("state", TypeError),
+        (None, TypeError), (State(-1, 0, 0, 0, 0), ValueError),
+        (State(0, 0, 0, 0, 1 << 64), ValueError),
+    ], ids=["four", "float", "str", "none", "negative", "wide"])
+    def test_phases_refuse_a_state_that_is_not_five_words_as_permute_does(
+        self, phase, state, error
+    ):
+        # in permute's words, which print no word
+        with pytest.raises(error) as info:
+            getattr(aead, phase)(state, ASCON_128, KEY if phase == "finalize" else b"")
+        with pytest.raises(error) as expected:
+            permute(state, 12)
+        assert str(info.value) == str(expected.value)
+
+    @pytest.mark.parametrize("data", [b"", b"ad", bytes(17)], ids=len)
+    def test_phases_return_a_state_for_five_int_words(self, data):
+        # as permute does: a tuple or a list in, the State of the same words out
+        start = initialize(ASCON_128A, KEY, NONCE)
+        for words in (tuple(start), list(start)):
+            got = process_associated_data(words, ASCON_128A, data)
+            assert type(got) is State
+            assert got == process_associated_data(start, ASCON_128A, data)
+            for phase in (encrypt_data, decrypt_data):
+                got = phase(words, ASCON_128A, data)
+                assert type(got[0]) is State
+                assert got == phase(start, ASCON_128A, data)
+            assert finalize(words, ASCON_128A, KEY) == finalize(start, ASCON_128A, KEY)
 
     @pytest.mark.parametrize("short", ["key", "nonce", "tag"])
     def test_short_inputs_never_reach_the_kernel(self, backend, binding_calls, short):

@@ -8,7 +8,7 @@ from ascon_aead.codec import hex_encode
 from ascon_aead.kat import KatParseError, KatRecord, KatReport, parse_kat_file, run_kat
 
 from conftest import PORTABLE_BODY, VARIANT_NAMES, accel_available, kat_path, run_selftest
-from mutants import BUG_MUTANTS, KERNEL_MUTANTS, UNCOMPLEMENTED_K2, use_kernel_mutant
+from mutants import BUG_MUTANTS, KAT_HEAD, KERNEL_MUTANTS, UNCOMPLEMENTED_K2, use_kernel_mutant
 from oracles import serialize_records
 
 WELL_FORMED = """\
@@ -404,7 +404,7 @@ class TestBugLedgerMutants:
     @pytest.mark.parametrize("name", sorted(BUG_MUTANTS))
     def test_mutant_is_detected(self, name, kat_records, monkeypatch, capsys, pure_path):
         apply_bug, earliest = BUG_MUTANTS[name]
-        head = kat_records["ascon128"][:2]
+        head = kat_records["ascon128"][:KAT_HEAD]
         assert run_kat(head, ASCON_128).failed == 0, "sanity: clean build passes"
         apply_bug(monkeypatch)
         report = run_kat(head, ASCON_128)
@@ -412,13 +412,14 @@ class TestBugLedgerMutants:
         assert any(
             f.count == earliest and f.direction == "encrypt" for f in report.failures
         ), f"mutant {name!r} missed by record {earliest}"
+        assert min(f.count for f in report.failures) == earliest, f"{name!r} diverges earlier"
         rc, failed = run_selftest(capsys)
         assert rc == 5 and failed, f"selftest missed mutant {name!r}"
 
     @pytest.mark.parametrize("name", sorted(BUG_MUTANTS))
     def test_mutant_detected_on_128a_too(self, name, kat_records, monkeypatch, pure_path):
         apply_bug, _ = BUG_MUTANTS[name]
-        head = kat_records["ascon128a"][:2]
+        head = kat_records["ascon128a"][:KAT_HEAD]
         apply_bug(monkeypatch)
         assert run_kat(head, ASCON_128A).failed > 0
 
@@ -438,13 +439,14 @@ def test_kernel_mutant_is_detected(name, kat_records, monkeypatch, capsys, tmp_p
     """A bug compiled into the kernel fails the same KAT record as its Python twin, if any."""
     edit, earliest = KERNEL_CASES[name]
     use_kernel_mutant(monkeypatch, tmp_path, edit)
-    report = run_kat(kat_records["ascon128"][:2], ASCON_128)
+    report = run_kat(kat_records["ascon128"][:KAT_HEAD], ASCON_128)
     info = aead.backend_info()
     assert info["backend"] == "kernel", info["unavailable_reason"]
     assert info["library"].startswith(str(tmp_path / "cache"))
     assert any(
         f.count == earliest and f.direction == "encrypt" for f in report.failures
     ), f"kernel mutant {name!r} missed by record {earliest}"
+    assert min(f.count for f in report.failures) == earliest, f"{name!r} diverges earlier"
     rc, failed = run_selftest(capsys)
     assert rc == 5 and failed, f"selftest missed kernel mutant {name!r}"
 
