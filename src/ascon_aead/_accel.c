@@ -6,10 +6,10 @@
  * ascon_encrypt and ascon_decrypt; the direction is carried by which one is
  * called.  Both wrap ascon_aead, a compiled copy of the four phases in
  * aead.py, which stay the reference; the round function is the one in
- * permutation.py, on machine words, and duplex, a copy of aead._duplex,
- * runs it between the rate blocks of one segment, AD or data.  Words are
- * loaded and stored big-endian with byte shifts, so the result does not
- * depend on the host's byte order.
+ * permutation.py, on machine words, and duplex runs aead._duplex's steps
+ * over the rate blocks of one segment, AD or data, with the last block
+ * split off as a byte loop.  Words are loaded and stored big-endian with
+ * byte shifts, so the result does not depend on the host's byte order.
  *
  * The data loop is written to run at the speed of the round, and the round
  * at its fewest instructions, which bound one state (interleaving 2 to 4
@@ -264,11 +264,11 @@ static inline uint64_t aead_body(unsigned mode, const unsigned char *params,
  * `params` is the variant's 8-byte IV, which aead.py derives once per
  * VariantParams.  As the specification lays it out, it encodes k, r, a and
  * b: the key size in bits (128), the rate in bits (64 or 128), the rounds
- * of initialization and finalization (12) and of the data phase (6, 8 or
- * 12), then four zero bytes.  The kernel reads r and b from it and runs
- * 12 rounds for a.  The caller checks r, b and the key and nonce lengths;
- * any other rate makes duplex write past its last block, and an odd b
- * runs one round too many.
+ * of initialization and finalization (12) and of the data phase (6 or 8),
+ * then four zero bytes.  The kernel reads r and b from it and runs 12
+ * rounds for a.  The binding passes only the two IVs, of ASCON-128 and
+ * ASCON-128a, and checks the key and nonce lengths: any other rate makes
+ * duplex write past its last block, and an odd b runs one round too many.
  */
 TWO_BODIES
 static uint64_t ascon_aead(unsigned mode, const unsigned char *params,

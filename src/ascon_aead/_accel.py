@@ -20,9 +20,9 @@ it releases the GIL.  Its checks are a kernel-path call's only ones: it
 refuses an argument with the error that aead's pure path raises for it, and
 aead passes that on.  decrypt takes the received tag: the kernel compares
 it in constant time and, when it fails, zeroes the plaintext, and decrypt
-returns None.  The kernel's only parameter is the variant's 8-byte IV,
-which VariantParams derives once (`_iv`); the kernel reads the rate and the
-data-phase rounds from it, as laid out in `_accel.c`.
+returns None.  The kernel's only parameter is the variant's 8-byte IV
+(VariantParams `_iv`), and the binding takes only those of ASCON-128 and
+ASCON-128a; the kernel reads the rate and data rounds from it (`_accel.c`).
 
 The one source gives two bodies of the kernel where the toolchain can make
 them (x86-64 ELF with glibc, and gcc 12 or later): one for baseline x86-64

@@ -11,11 +11,11 @@
  * every length, then the IV.  The first pass takes exact `bytes` as they are
  * and copies any other bytes-like argument once into new `bytes`, refusing
  * the rest; then the key, nonce and tag must be 16 bytes and `params` 8; last,
- * `params` must be the IV laid out in _accel.c, with a rate and data rounds
- * the kernel accepts.  Each fault raises TypeError or ValueError, so no call
- * makes the kernel overrun a buffer; the error is the one _checked raises on
- * the pure path, with aead's argument names, and aead passes it on.  The
- * checks branch on public types and lengths only, and name no input bytes.
+ * `params` must be the IV of ASCON-128 or ASCON-128a, laid out in _accel.c.
+ * Each fault raises TypeError or ValueError, so no call makes the kernel
+ * overrun a buffer; the error is the one _checked raises on the pure path,
+ * with aead's argument names, and aead passes it on.  The checks branch on
+ * public types, lengths and IVs only, and name no input bytes.
  * Each copy is zeroed before it is released, as it may hold the key or the
  * plaintext; the caller's own `bytes` are left as they are.
  *
@@ -79,6 +79,8 @@ static inline PyObject *run(int decrypting, PyObject *const *given, Py_ssize_t n
         {"params", "key", "nonce", "associated_data", "plaintext", "tag"},
         {"params", "key", "nonce", "associated_data", "ciphertext", "tag"}};
     static const Py_ssize_t sizes[ARGS] = {PARAMS_BYTES, KEY_BYTES, NONCE_BYTES, -1, -1, TAG_BYTES};
+    static const unsigned char ivs[2][PARAMS_BYTES] = { /* k, r, a, b in bits and rounds, 0* */
+        {128, 64, 12, 6, 0, 0, 0, 0}, {128, 128, 12, 8, 0, 0, 0, 0}};
     PyObject *args[ARGS], *out = NULL, *tag = NULL, *result = NULL;
     PyThreadState *released = NULL;
     int i, copied = 0, failed = 0, want = ARGS - !decrypting; /* encrypt: no tag */
@@ -109,10 +111,8 @@ static inline PyObject *run(int decrypting, PyObject *const *given, Py_ssize_t n
                          sizes[i], PyBytes_GET_SIZE(args[i]));
             goto done;
         }
-    if ((ARG(0)[1] != 64 && ARG(0)[1] != 128) ||
-        (ARG(0)[3] != 6 && ARG(0)[3] != 8 && ARG(0)[3] != 12)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "params must be an IV with rate 64 or 128 bits and rounds_b 6, 8 or 12");
+    if (memcmp(ARG(0), ivs[0], PARAMS_BYTES) != 0 && memcmp(ARG(0), ivs[1], PARAMS_BYTES) != 0) {
+        PyErr_SetString(PyExc_ValueError, "params must be the IV of ASCON-128 or ASCON-128a");
         goto done;
     }
     out = PyBytes_FromStringAndSize(NULL, PyBytes_GET_SIZE(args[4]));

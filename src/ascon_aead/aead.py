@@ -49,13 +49,14 @@ import _thread
 
 # The phases look `permute` up here at call time, so a stand-in set on this
 # module (a counter, a tracer) sees every permutation they run.
-from .permutation import MASK64, VALID_ROUNDS, State, _checked_words, permute
+from .permutation import MASK64, State, _checked_words, permute
 
 KEY_BYTES = 16
 NONCE_BYTES = 16
 TAG_BYTES = 16
 ROUNDS_A = 12  # initialization and finalization rounds, in every variant
 ABSORB, ENCRYPT, DECRYPT = 0, 1, 2  # _duplex modes, numbered as in _accel.c
+_ROWS = ((8, 6), (16, 8))  # (rate_bytes, rounds_b) of ASCON-128 and ASCON-128a
 
 _accel_backend = None  # not resolved yet; then the kernel module, or False
 _accel_library = None  # the loaded kernel's path
@@ -78,12 +79,10 @@ class VariantParams:
     tag are 16 bytes and a = 12 (`ROUNDS_A`, also readable as `rounds_a`)
     in every variant, and `iv_word` is derived from all four as the
     specification lays it out: k || r || a || b || 0*.  The constructor
-    rejects values the cipher does not use, and copies and pickles are
+    takes only the two rows that bundled vectors check, (rate_bytes,
+    rounds_b) = (8, 6) and (16, 8), under any name, so the kernel is only
+    ever passed the IV of ASCON-128 or ASCON-128a.  Copies and pickles are
     rebuilt through it.  Equality, hashing and repr go by `_fields`.
-
-    Only the two standard rows, (rate_bytes, rounds_b) = (8, 6) and
-    (16, 8), are checked by bundled vectors.  The other four rows build and
-    run on both backends, but nothing checks their output.
     """
 
     _fields = ("name", "rate_bytes", "rounds_b")
@@ -97,10 +96,9 @@ class VariantParams:
         for field, value in (("rate_bytes", rate_bytes), ("rounds_b", rounds_b)):
             if not isinstance(value, int):
                 raise TypeError(f"{field} must be an int, not {type(value).__name__}")
-        if rate_bytes not in (8, 16):
-            raise ValueError(f"rate must be 8 or 16 bytes, got {rate_bytes!r}")
-        if rounds_b not in VALID_ROUNDS:
-            raise ValueError(f"rounds_b must be in {VALID_ROUNDS}, got {rounds_b!r}")
+        if (rate_bytes, rounds_b) not in _ROWS:
+            raise ValueError(f"(rate_bytes, rounds_b) must be one of {_ROWS}, "
+                             f"got {(rate_bytes, rounds_b)!r}")
         # The IV in bits and rounds; initialize packs it, and it is the kernel's parameter block.
         iv = bytes((8 * KEY_BYTES, 8 * rate_bytes, ROUNDS_A, rounds_b, 0, 0, 0, 0))
         values = (name, rate_bytes, rounds_b, int.from_bytes(iv, "big"), iv)

@@ -169,10 +169,10 @@ def _check_len(flag: str, data: bytes, expect_len: int) -> bytes:
     return data
 
 
-def _read_file(flag: str | None, path: str) -> bytes:
+def _read_file(flag: str | None, path: str, size: int = -1) -> bytes:
     try:
         with open(path, "rb") as f:
-            return f.read()
+            return f.read(size)
     except OSError as exc:
         where = f"{flag}: " if flag else ""
         raise _IoFailure(f"{where}cannot read {path}: {exc.strerror}") from exc
@@ -209,7 +209,9 @@ class _IoFailure(Exception):
 def _resolve_key(args) -> bytes:
     if args.key is not None:
         return _decode_flag("--key", args.key, aead.KEY_BYTES)
-    data = _read_file("--key-file", args.key_file)
+    data = _read_file("--key-file", args.key_file, aead.KEY_BYTES + 1)  # not a longer file whole
+    if len(data) > aead.KEY_BYTES:
+        raise UsageError(f"--key-file: holds more than {aead.KEY_BYTES} bytes")
     return _check_len("--key-file", data, aead.KEY_BYTES)
 
 

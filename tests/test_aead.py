@@ -26,7 +26,7 @@ from ascon_aead.permutation import State, permute
 
 from binding_driver import VALID_KINDS, WRONG_LENGTHS, WRONG_TYPES, outcome
 from conftest import (
-    PORTABLE_BODY, accel_available, build_kernel_driver, run_selftest, variant_like,
+    PORTABLE_BODY, VECTOR_DIR, accel_available, build_kernel_driver, run_selftest, variant_like,
 )
 from mutants import FORGERY_MUTANTS, SHARED_STATE, use_kernel_mutant
 from oracles import duplex_from_spec
@@ -61,7 +61,7 @@ KAT1_TAGS = {
 }
 
 #: (rate_bytes, rounds_b) of every variant the constructor accepts
-PAIRS = [(rate, rounds_b) for rate in (8, 16) for rounds_b in (6, 8, 12)]
+PAIRS = [(8, 6), (16, 8)]
 
 keys = st.binary(min_size=16, max_size=16)
 small = st.binary(max_size=96)
@@ -91,15 +91,32 @@ class TestVariantParams:
         assert ASCON_128A.iv_word == 0x80800C0800000000
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("rate_bytes", 32), ("rate_bytes", 0), ("rounds_b", 4), ("rounds_b", 13),
+        "changes",
+        [{"rate_bytes": 32}, {"rate_bytes": 0}, {"rounds_b": 4}, {"rounds_b": 13},
+         # the four rows of rate {8, 16} x rounds_b {6, 8, 12} that no vector checks
+         {"rounds_b": 8}, {"rounds_b": 12}, {"rate_bytes": 16},
+         {"rate_bytes": 16, "rounds_b": 12},
          # a = 12, the 16-byte sizes and the derived IV are not parameters
-         ("rounds_a", 13), ("key_bytes", 8), ("iv_word", 1 << 64), ("iv_word", -1)],
+         {"rounds_a": 13}, {"key_bytes": 8}, {"iv_word": 1 << 64}, {"iv_word": -1}],
+        ids=lambda changes: "-".join(f"{field}-{value}" for field, value in changes.items()),
     )
-    def test_rejects_parameters_the_cipher_does_not_use(self, field, value):
-        error = ValueError if field in aead.VariantParams._fields else TypeError
+    def test_rejects_parameters_the_cipher_does_not_use(self, changes):
+        error = ValueError if set(changes) <= set(aead.VariantParams._fields) else TypeError
         with pytest.raises(error):
-            variant_like(ASCON_128, **{field: value})
+            variant_like(ASCON_128, **changes)
+
+    def test_the_table_is_the_vectors_table(self):
+        # a row is built only if bundled vectors check it
+        assert sorted(aead.VARIANTS) == sorted(p.name for p in VECTOR_DIR.iterdir() if p.is_dir())
+        built = set()
+        for rate in (8, 16):
+            for rounds_b in (6, 8, 12):
+                try:
+                    aead.VariantParams("any", rate, rounds_b)
+                except ValueError:
+                    continue
+                built.add((rate, rounds_b))
+        assert built == {(p.rate_bytes, p.rounds_b) for p in aead.VARIANTS.values()}
 
     @pytest.mark.parametrize("field, value", [("rate_bytes", 8.0), ("rate_bytes", "8"),
                                               ("rounds_b", 6.0), ("rounds_b", None)])
@@ -150,19 +167,21 @@ class TestVariantParams:
         assert encrypt(twin, KEY, NONCE, b"ad", b"pt") == encrypt(params, KEY, NONCE, b"ad", b"pt")
 
     def test_unpickling_invalid_fields_is_rejected(self):
-        # protocol 0 writes each int field as text; rate_bytes is the only 8
+        # protocol 0 writes each int field as text: rate_bytes is the only 8,
+        # rounds_b the only 6, and (8, 8) is a row no vector checks
         blob = pickle.dumps(ASCON_128, protocol=0)
-        assert blob.count(b"I8\n") == 1
-        with pytest.raises(ValueError, match="rate must be 8 or 16"):
-            pickle.loads(blob.replace(b"I8\n", b"I32\n"))
+        assert blob.count(b"I8\n") == blob.count(b"I6\n") == 1
+        for old, new in ((b"I8\n", b"I32\n"), (b"I6\n", b"I8\n")):
+            with pytest.raises(ValueError, match="must be one of"):
+                pickle.loads(blob.replace(old, new))
 
     @pytest.mark.parametrize(
         "rate, rounds_b", PAIRS, ids=[f"rounds_b-{b}-rate-{rate}" for rate, b in PAIRS]
     )
     def test_every_parameter_field_reaches_the_backend(self, backend, rate, rounds_b):
-        # The kernel decodes the rate and rounds_b from the IV alone.  All
-        # six variants share one name, so a parameter block cached per name
-        # or per class would give another pair's output.
+        # The kernel decodes the rate and rounds_b from the IV alone.  Both
+        # variants share one name, so a parameter block cached per name or
+        # per class would give the other pair's output.
         params = aead.VariantParams("same", rate, rounds_b)
         others = [aead.VariantParams("same", *pair) for pair in PAIRS if pair != (rate, rounds_b)]
         lengths = (0, rate - 1, rate, rate + 1, 2 * rate + 1)
@@ -696,6 +715,7 @@ class TestInputContract:
 
 
 _IV = ASCON_128._iv  # the kernel's whole parameter block
+_IV_ERROR = "params must be the IV of ASCON-128 or ASCON-128a"
 
 
 def _iv_with(index: int, value: int) -> bytes:
@@ -734,12 +754,13 @@ KERNEL_ARGS = {
     "key-17-bytes": (1, bytes(17), ValueError, "key must be 16 bytes, got 17"),
     "nonce-15-bytes": (2, bytes(15), ValueError, "nonce must be 16 bytes, got 15"),
     "nonce-empty": (2, b"", ValueError, "nonce must be 16 bytes, got 0"),
-    # IV byte 1 is the rate in bits, byte 3 the data-phase rounds
-    "rate-0": (0, _iv_with(1, 0), ValueError, "rate 64 or 128 bits"),
-    "rate-8": (0, _iv_with(1, 8), ValueError, "rate 64 or 128 bits"),
-    "rate-200": (0, _iv_with(1, 200), ValueError, "rate 64 or 128 bits"),
-    "rounds-b-13": (0, _iv_with(3, 13), ValueError, "rounds_b 6, 8 or 12"),
-    "rounds-b-255": (0, _iv_with(3, 255), ValueError, "rounds_b 6, 8 or 12"),
+    # every IV byte counts, not only the rate (byte 1) and rounds_b (byte 3)
+    **{f"iv-byte-{index}": (0, _iv_with(index, _IV[index] ^ 1), ValueError, _IV_ERROR)
+       for index in range(8)},
+    # the IVs of the rows that VariantParams refuses
+    **{f"iv-rate-{rate}-rounds-b-{rounds_b}": (
+        0, bytes((128, 8 * rate, 12, rounds_b, 0, 0, 0, 0)), ValueError, _IV_ERROR)
+       for rate, rounds_b in ((8, 8), (8, 12), (16, 6), (16, 12))},
     # decrypt's sixth argument, the received tag
     "tag-15-bytes": (5, bytes(15), ValueError, "tag must be 16 bytes, got 15"),
     "tag-17-bytes": (5, bytes(17), ValueError, "tag must be 16 bytes, got 17"),

@@ -192,6 +192,34 @@ class TestEncrypt:
         assert rc == 0
         assert f"TAG={KAT1_TAG}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("size", [17, 1 << 20])
+    def test_key_file_longer_than_a_key_is_not_read_whole(self, tmp_path, capsys, size):
+        import tracemalloc
+
+        key_file = tmp_path / "key.bin"
+        key_file.write_bytes(bytes(size))
+        tracemalloc.start()
+        try:
+            rc = run_cli("encrypt", "--key-file", str(key_file), "--nonce", NONCE_HEX, "--pt", "")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "--key-file: holds more than 16 bytes" in capsys.readouterr().err
+        assert peak < 1 << 19, f"{peak} B allocated for a {size}-byte key file"
+
+    def test_key_file_round_trip(self, tmp_path, capsys):
+        key = bytes(range(0xF0, 0x100))
+        key_file = tmp_path / "key.bin"
+        key_file.write_bytes(key)
+        flags = ("--key-file", str(key_file), "--nonce", NONCE_HEX)
+        assert run_cli("encrypt", *flags, "--pt", "0011") == 0
+        ct, tag = aead.encrypt(aead.ASCON_128, key, hex_decode(NONCE_HEX), b"", b"\x00\x11")
+        assert capsys.readouterr().out.split() == [f"CT={ct.hex().upper()}",
+                                                   f"TAG={tag.hex().upper()}"]
+        assert run_cli("decrypt", *flags, "--ct", ct.hex(), "--tag", tag.hex()) == 0
+        assert capsys.readouterr().out.split() == ["PT=0011"]
+
 
 class TestDecrypt:
     def _encrypt_file(self, tmp_path, payload=b"round trip payload"):
@@ -534,7 +562,7 @@ class TestSelftest:
         assert KEY_HEX not in err.upper()
 
     def test_mutant_iv_exits_5(self, capsys, monkeypatch):
-        broken = variant_like(aead.ASCON_128, rounds_b=8)  # and so another IV
+        broken = variant_like(aead.ASCON_128A, name="ASCON-128")  # another IV and rate
         monkeypatch.setitem(aead.VARIANTS, "ascon128", broken)
         rc = run_cli("selftest")
         assert rc == 5
