@@ -1,6 +1,6 @@
 """Optional compiled kernel (a C extension module): its builder and loader.
 
-load() returns `(module, path)`, the extension module and its library, or
+load() returns the extension module, whose `__file__` is its library, or
 raises Unavailable with the reason.  This module keeps no state: each call
 builds or loads anew, and aead resolves the backend once and remembers and
 reports it.  When the kernel loads, aead.encrypt and aead.decrypt run each
@@ -59,8 +59,8 @@ from __future__ import annotations
 
 import os
 import sys
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
-from importlib.util import source_hash
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, source_hash, spec_from_file_location
 
 # Paths are str.  Tests may set any os.PathLike, so they are only ever
 # passed to open() and os.* functions.
@@ -84,13 +84,13 @@ class Unavailable(Exception):
 
 
 def _import(path: str):
-    """The extension module in the library at `path`."""
-    loader = ExtensionFileLoader(_MODULE, path)
+    """The extension module in the library at `path`; its `__file__` is `path`."""
+    spec = spec_from_file_location(_MODULE, path, loader=ExtensionFileLoader(_MODULE, path))
     try:
-        module = loader.create_module(ModuleSpec(_MODULE, loader, origin=path))
+        module = module_from_spec(spec)
     except ImportError as exc:
         raise Unavailable(f"cannot load {path}: {exc}") from exc
-    loader.exec_module(module)
+    spec.loader.exec_module(module)
     return module
 
 
@@ -110,8 +110,8 @@ def _library_name() -> str:
     return f"_accel-{source_hash(key.encode()).hex()}{_EXT_SUFFIX}"
 
 
-def load() -> tuple:
-    """The kernel and its path, from the first usable cache; compiled if absent or unloadable.
+def load():
+    """The kernel, from the first usable cache; compiled if absent or unloadable.
 
     Raises Unavailable on the expected failures, which leave the pure path
     to run: no compiler on PATH, a failed compile (no CPython headers, say),
@@ -124,11 +124,11 @@ def load() -> tuple:
         try:
             path = os.path.join(directory(), name)
             try:
-                return _import(path), path
+                return _import(path)
             except Unavailable:  # absent, truncated, or built against another libc
                 pass
             _compile(path)
-            return _import(path), path
+            return _import(path)
         except OSError as exc:  # the directory cannot be created or written
             problems.append(str(exc))
     raise Unavailable(f"no writable cache directory: {'; '.join(problems)}")

@@ -59,7 +59,6 @@ ABSORB, ENCRYPT, DECRYPT = 0, 1, 2  # _duplex modes, numbered as in _accel.c
 _ROWS = ((8, 6), (16, 8))  # (rate_bytes, rounds_b) of ASCON-128 and ASCON-128a
 
 _accel_backend = None  # not resolved yet; then the kernel module, or False
-_accel_library = None  # the loaded kernel's path
 _accel_reason = None  # why the kernel could not be built or loaded
 _accel_lock = _thread.allocate_lock()
 
@@ -165,17 +164,16 @@ def _get_accel():
     """Resolve the compiled-kernel backend once: its extension module, or None.
 
     The first call runs `_accel.load` under `_accel_lock`, so first calls
-    that race load the kernel once.  The library's path is kept in
-    `_accel_library`, and why the kernel could not be built or loaded in
-    `_accel_reason`.
+    that race load the kernel once.  Why the kernel could not be built or
+    loaded is kept in `_accel_reason`.
     """
-    global _accel_backend, _accel_library, _accel_reason
+    global _accel_backend, _accel_reason
     with _accel_lock:
         if _accel_backend is None:
             from . import _accel
 
             try:
-                _accel_backend, _accel_library = _accel.load()
+                _accel_backend = _accel.load()
                 _accel_reason = None
             except _accel.Unavailable as exc:
                 _accel_backend, _accel_reason = False, str(exc)
@@ -193,7 +191,7 @@ def backend_info() -> dict:
     accel = _get_accel()
     return {
         "backend": "pure" if accel is None else "kernel",
-        "library": None if accel is None else _accel_library,
+        "library": None if accel is None else accel.__file__,
         "unavailable_reason": _accel_reason,
     }
 

@@ -310,7 +310,7 @@ def cmd_decrypt(args) -> int:
 def cmd_kat(args) -> int:
     params = aead.VARIANTS[args.variant]
     try:
-        records = kat.parse_kat_file(_read_file(None, args.path).decode("utf-8"))
+        records = kat.parse_kat_file(_read_file(None, args.path).decode("utf-8-sig"))
     except (UnicodeDecodeError, kat.KatParseError) as exc:
         raise UsageError(f"{args.path}: {exc}") from None
     _note(args, f"{params.name}: {len(records)} records from {args.path}")

@@ -1,10 +1,12 @@
 """Sponge padding, byte XOR, and hex text helpers.
 
-Hex text is decoded case-insensitively and emitted uppercase, matching the
-KAT file convention.
+Hex text is decoded strictly (`binascii.a2b_hex`: ASCII hex digits in pairs,
+either case, no whitespace) and emitted uppercase, as KAT files write it.
 """
 
 from __future__ import annotations
+
+from binascii import a2b_hex
 
 
 class HexError(ValueError):
@@ -40,15 +42,15 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def hex_decode(text: str) -> bytes:
-    """Decode hex text (case-insensitive, empty allowed) to bytes."""
+    """Decode hex text (either case, empty allowed) to bytes, strictly.
+
+    Whitespace or any other non-hex character, or an odd length, raises
+    HexError at the first bad position.
+    """
     try:
-        out = bytes.fromhex(text)
-    except ValueError:
+        return a2b_hex(text)
+    except ValueError:  # binascii.Error, or a str that is not ASCII
         pass
-    else:
-        # fromhex skips whitespace, which then shows as a length mismatch
-        if 2 * len(out) == len(text):
-            return out
     for i, ch in enumerate(text):
         if ch not in _HEX_DIGITS:
             raise HexError(f"invalid hex character {ch!r}", i)

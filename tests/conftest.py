@@ -64,7 +64,7 @@ def fresh_loader(monkeypatch):
 
     aead alone remembers the backend; `_accel.load` builds or loads on every call.
     """
-    for name in ("_accel_backend", "_accel_library", "_accel_reason"):
+    for name in ("_accel_backend", "_accel_reason"):
         monkeypatch.setattr(aead, name, None)
 
 

@@ -961,7 +961,8 @@ class TestAcceleratedPath:
         blocker.write_bytes(b"")
         monkeypatch.setattr(_accel, "_CACHE_DIR", blocker / "__pycache__")
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        kernel, library = _accel.load()
+        kernel = _accel.load()
+        library = kernel.__file__
         private = tmp_path / f"ascon-aead-{os.getuid()}"
         assert [p.suffix for p in private.iterdir()] == [".so"]
         assert aead.backend_info()["library"] == library == str(next(private.iterdir()))
@@ -990,12 +991,12 @@ class TestAcceleratedPath:
         blocked = cache / f"_accel-fedcba9876543210{_accel._EXT_SUFFIX}"
         blocked.mkdir()
         monkeypatch.setattr(_accel, "_CACHE_DIR", cache)
-        library = Path(_accel.load()[1])
+        library = Path(_accel.load().__file__)
         assert library.parent == cache
         assert sorted(cache.iterdir()) == sorted([library, blocked, *kept])
         # loading a cached build deletes nothing
         superseded.write_bytes(b"")
-        assert _accel.load()[1] == str(library)
+        assert _accel.load().__file__ == str(library)
         assert superseded.exists()
 
     def test_interpreters_with_one_abi_tag_share_one_build(self, monkeypatch, tmp_path):
@@ -1007,11 +1008,11 @@ class TestAcceleratedPath:
 
         cache = tmp_path / "cache"
         monkeypatch.setattr(_accel, "_CACHE_DIR", cache)
-        library = _accel.load()[1]
+        library = _accel.load().__file__
         (tmp_path / "headers").mkdir()
         monkeypatch.setattr(sysconfig, "get_paths",
                             lambda *args, **kw: {"include": str(tmp_path / "headers")})
-        assert _accel.load()[1] == library
+        assert _accel.load().__file__ == library
         assert [str(path) for path in cache.iterdir()] == [library]
 
     @pytest.mark.parametrize("kind", [bytearray, memoryview])
@@ -1201,7 +1202,7 @@ def test_unloadable_cached_library_is_compiled_over(
     from ascon_aead.kat import run_kat
 
     planted = _planted_cache(monkeypatch, tmp_path)
-    assert _accel.load()[1] == str(planted)
+    assert _accel.load().__file__ == str(planted)
     subset = kat_records["ascon128"][::37]
     report = run_kat(subset, ASCON_128)
     assert (report.failed, report.passed) == (0, 2 * len(subset))

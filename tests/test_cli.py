@@ -384,6 +384,20 @@ class TestKatCommand:
         assert "FAIL count=1" in out
         assert "failed=2" in out  # both directions of record 1
 
+    def test_byte_order_mark_at_the_start_is_skipped(self, tmp_path, capsys):
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + kat_path("ascon128").read_bytes())
+        rc = run_cli("kat", "--variant", "ascon128", str(bom))
+        assert rc == 0
+        assert "total=1089 passed=2178 failed=0" in capsys.readouterr().out
+
+    def test_byte_order_mark_after_line_1_is_refused(self, tmp_path, capsys):
+        bom = tmp_path / "bom.txt"
+        bom.write_text(kat_path("ascon128").read_text().replace("Key", "\ufeffKey", 1))
+        rc = run_cli("kat", str(bom))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bom}: line 2: unknown field '\\ufeffKey'\n"
+
     def test_empty_file_is_vacuously_ok(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("")

@@ -93,10 +93,15 @@ class TestHex:
         assert "'G'" in str(info.value)
 
     @pytest.mark.parametrize(
-        "text, position", [("00 FF", 2), (" 00", 0), ("00\n", 2), ("0\t0", 1), ("0G0", 1)]
+        "text, position",
+        [
+            ("00 FF", 2), (" 00", 0), ("00\n", 2), ("0\t0", 1), ("0G0", 1),
+            ("0\r0", 1), ("00\x0b", 2), ("\x0c00", 0),  # more that fromhex skips
+            ("0\x1c0", 1), ("00\xa0", 2), ("0\uff10", 1),  # fromhex never skips; a fullwidth 0
+        ],
     )
     def test_whitespace_and_bad_characters_are_rejected(self, text, position):
-        # bytes.fromhex would skip the whitespace
+        # bytes.fromhex would skip the ASCII whitespace
         with pytest.raises(HexError) as info:
             hex_decode(text)
         assert info.value.position == position

@@ -249,6 +249,8 @@ class TestSplitAgreesWithLineLoop:
             GENERATED.replace(KEY_LINE, KEY_LINE[:-2], 1),
             GENERATED.replace("Nonce" + KEY_LINE[3:], "Nonce" + KEY_LINE[3:-2], 1),
             GENERATED.replace(KEY_LINE, KEY_LINE[:-16] + " " + KEY_LINE[-16:], 1),
+            GENERATED.replace(KEY_LINE, KEY_LINE[:-16] + "\t" + KEY_LINE[-16:], 1),
+            GENERATED.replace(KEY_LINE, KEY_LINE + "\x0b", 1),
             GENERATED.replace(KEY_LINE + "\n", KEY_LINE + "\r\n", 1),
             GENERATED.replace("CT = E355159F292911F794CB1432A0103A8A", "CT = E355159F29", 1),
             GENERATED.replace("Count = 1", "Count = 1" + "0" * 4300, 1),
@@ -266,6 +268,7 @@ class TestSplitAgreesWithLineLoop:
             "\n",
         ],
         ids=["as-generated", "lowercase-hex", "odd-key", "short-key", "short-nonce", "space-in-key",
+             "tab-in-key", "key-ends-in-vt",
              "one-crlf", "odd-ct", "count-4301-digits", "count-01", "count-0",
              "count-repeated", "counts-1-2-3", "counts-1-4-3", "two-blank-lines",
              "no-blank-line", "no-final-newline", "no-final-blank-line",
