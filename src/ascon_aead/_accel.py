@@ -49,13 +49,11 @@ directory next to this file, or, when that is not writable, a private
 per-user directory under the system temporary directory.  Interpreters
 with one ABI tag share one build, and only a compile looks up where the
 CPython headers are.  Later processes load the cached module without
-compiling, and compile over one that fails to load.  Right after a compile,
-the superseded builds for this ABI tag in the same directory are deleted,
-so a process of an older source revision in the same checkout may then
-have to compile its own build again.
+compiling, and compile over one that is cut short or fails to load.  Right
+after a compile, the superseded builds for this ABI tag in the same
+directory are deleted, so a process of an older source revision in the
+same checkout may then have to compile its own build again.
 """
-
-from __future__ import annotations
 
 import os
 import sys
@@ -84,7 +82,25 @@ class Unavailable(Exception):
 
 
 def _import(path: str):
-    """The extension module in the library at `path`; its `__file__` is `path`."""
+    """The extension module in the library at `path`; its `__file__` is `path`.
+
+    An ELF file cut inside its header, or whose section header table ends
+    past its end, is refused unloaded: dlopen would map segments the file
+    no longer holds, and the first touch of one kills the process with SIGBUS.
+    """
+    try:
+        with open(path, "rb") as f:
+            header, size = f.read(64), os.fstat(f.fileno()).st_size
+    except OSError:
+        header = b""
+    if header[:4] == b"\x7fELF":
+        order = "little" if header[5:6] == b"\x01" else "big"
+        # e_shoff, e_shentsize and e_shnum, in a 64-bit or a 32-bit header
+        wide = header[4:5] == b"\x02"
+        fields = ((0x28, 8), (0x3A, 2), (0x3C, 2)) if wide else ((0x20, 4), (0x2E, 2), (0x30, 2))
+        shoff, shentsize, shnum = (int.from_bytes(header[i:i + n], order) for i, n in fields)
+        if len(header) < 64 or shoff + shentsize * shnum > size:
+            raise Unavailable(f"cannot load {path}: the build is cut short ({size} bytes)")
     spec = spec_from_file_location(_MODULE, path, loader=ExtensionFileLoader(_MODULE, path))
     try:
         module = module_from_spec(spec)

@@ -43,8 +43,6 @@ Keys are accepted as plain bytes and never stored on objects, logged, or
 formatted into error messages.
 """
 
-from __future__ import annotations
-
 import _thread
 
 # The phases look `permute` up here at call time, so a stand-in set on this

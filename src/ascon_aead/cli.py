@@ -18,8 +18,6 @@ argv is visible to other local processes.  No environment variables are
 read.  No key material is ever written to any output stream.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import os

@@ -4,8 +4,6 @@ Hex text is decoded strictly (`binascii.a2b_hex`: ASCII hex digits in pairs,
 either case, no whitespace) and emitted uppercase, as KAT files write it.
 """
 
-from __future__ import annotations
-
 from binascii import a2b_hex
 
 

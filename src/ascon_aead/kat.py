@@ -19,8 +19,6 @@ accept the tag and reproduce PT.  Failures are data in the report, not
 exceptions.
 """
 
-from __future__ import annotations
-
 import io
 import re
 from binascii import a2b_hex

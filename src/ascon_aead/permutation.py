@@ -12,8 +12,6 @@ digit counts grow, so timing here depends on the state.  The compiled
 kernel, _accel.c, is the constant-time path.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 MASK64 = 0xFFFFFFFFFFFFFFFF

@@ -1244,6 +1244,66 @@ def test_unloadable_cached_library_keeps_pure_path_and_reason(
     assert list(planted.parent.iterdir()) == [planted]
 
 
+def test_cut_short_cached_library_is_compiled_over(tmp_path):
+    # dlopen of a build cut short past its ELF header maps segments the file
+    # no longer holds, and the first touch kills the process with SIGBUS; so
+    # the load runs in a child, where a regression is an exit code
+    import os
+    import subprocess
+    import sys
+
+    if not accel_available():
+        pytest.skip("the compiled C kernel could not be built or loaded")
+    whole = aead.backend_info()["library"]
+    child = (
+        "import os, shutil, sys\n"
+        "from ascon_aead import _accel\n"
+        "_accel._CACHE_DIR = sys.argv[1]\n"
+        "path = os.path.join(sys.argv[1], _accel._library_name())\n"
+        "shutil.copyfile(sys.argv[2], path)\n"
+        "os.truncate(path, 1000)\n"
+        "assert _accel.load().__file__ == path\n"
+        "print(os.path.getsize(path))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(tmp_path), whole],
+        env=dict(os.environ, PYTHONPATH=str(Path(aead.__file__).parent.parent)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, f"exit {proc.returncode}: {proc.stderr}"
+    assert int(proc.stdout) == os.path.getsize(whole)
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+@pytest.mark.parametrize("wide", [True, False], ids=["64-bit", "32-bit"])
+def test_elf_header_naming_a_section_table_past_the_end_is_refused_unloaded(
+    wide, order, tmp_path
+):
+    # the header alone, naming one section header at offset 64: had the
+    # check read the wrong fields, the file would reach dlopen and fail there
+    from ascon_aead import _accel
+
+    header = bytearray(b"\x7fELF" + bytes([2 if wide else 1, 1 if order == "little" else 2]))
+    header += bytes(64 - len(header))
+    fields = ((0x28, 8), (0x3A, 2), (0x3C, 2)) if wide else ((0x20, 4), (0x2E, 2), (0x30, 2))
+    for (at, size), value in zip(fields, (64, 64, 1)):  # e_shoff, e_shentsize, e_shnum
+        header[at:at + size] = value.to_bytes(size, order)
+    path = tmp_path / "header-only.so"
+    path.write_bytes(header)
+    with pytest.raises(_accel.Unavailable, match=r"the build is cut short \(64 bytes\)"):
+        _accel._import(path)
+
+
+@pytest.mark.parametrize("size", [4, 5, 10, 63])
+def test_elf_file_cut_inside_its_header_is_refused_unloaded(size, tmp_path):
+    from ascon_aead import _accel
+
+    path = tmp_path / "cut.so"
+    path.write_bytes((b"\x7fELF\x02\x01" + bytes(64))[:size])
+    with pytest.raises(_accel.Unavailable, match=rf"the build is cut short \({size} bytes\)"):
+        _accel._import(path)
+
+
 @pytest.mark.parametrize("planted", ["world-writable", "symlink"])
 def test_private_temp_dir_refuses_a_directory_others_control(
     planted, monkeypatch, tmp_path, fresh_loader
