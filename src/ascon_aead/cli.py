@@ -173,7 +173,7 @@ def _read_file(flag: str | None, path: str, size: int = -1) -> bytes:
             return f.read(size)
     except OSError as exc:
         where = f"{flag}: " if flag else ""
-        raise _IoFailure(f"{where}cannot read {path}: {exc.strerror}") from exc
+        raise OSError(f"{where}cannot read {path}: {exc.strerror}") from exc
 
 
 def _read_sealed(path: str) -> tuple[bytes, bytes]:
@@ -189,7 +189,7 @@ def _read_sealed(path: str) -> tuple[bytes, bytes]:
             ciphertext = f.read(max(os.fstat(f.fileno()).st_size - aead.TAG_BYTES, 0))
             tag = f.read()
     except OSError as exc:
-        raise _IoFailure(f"--in: cannot read {path}: {exc.strerror}") from exc
+        raise OSError(f"--in: cannot read {path}: {exc.strerror}") from exc
     if len(tag) != aead.TAG_BYTES:
         blob = ciphertext + tag
         if len(blob) < aead.TAG_BYTES:
@@ -198,10 +198,6 @@ def _read_sealed(path: str) -> tuple[bytes, bytes]:
             )
         ciphertext, tag = blob[: -aead.TAG_BYTES], blob[-aead.TAG_BYTES :]
     return ciphertext, tag
-
-
-class _IoFailure(Exception):
-    """I/O problem; maps to exit code 3."""
 
 
 def _resolve_key(args) -> bytes:
@@ -233,7 +229,11 @@ def _write_out(path: str, *chunks: bytes) -> None:
     """Write the chunks to `path`, whole or not at all, by way of a temporary file beside it.
 
     The file is created readable and writable by its owner only.  Writing the
-    chunks one after another saves joining them into one more copy.
+    chunks one after another saves joining them into one more copy.  The data
+    is fsynced before the rename, so after a crash `path` names the old file
+    or the whole new one, never a short one.  The directory is not fsynced
+    after the rename, so a crash soon after it may undo the rename.  A killed
+    process leaves the hidden 0600 file `.NAME-XXXX.tmp` beside `path`.
     """
     import tempfile
 
@@ -243,9 +243,11 @@ def _write_out(path: str, *chunks: bytes) -> None:
         fd, tmp = tempfile.mkstemp(prefix=f".{name}-", suffix=".tmp", dir=directory or ".")
         with open(fd, "wb") as f:
             f.writelines(chunks)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except OSError as exc:
-        raise _IoFailure(f"--out: cannot write {path}: {exc.strerror}") from exc
+        raise OSError(f"--out: cannot write {path}: {exc.strerror}") from exc
     finally:
         if tmp is not None:
             with contextlib.suppress(FileNotFoundError):
@@ -423,14 +425,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (_IoFailure, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

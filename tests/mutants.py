@@ -29,8 +29,6 @@ must exit 5 under every mutant in BUG_MUTANTS, KERNEL_MUTANTS,
 UNCOMPLEMENTED_K2 and FORGERY_MUTANTS.
 """
 
-from __future__ import annotations
-
 import inspect
 from pathlib import Path
 

@@ -1,8 +1,6 @@
 """Independent test-side oracles: everything here deliberately avoids the
 production code paths it is used to check."""
 
-from __future__ import annotations
-
 from ascon_aead.codec import hex_encode
 from ascon_aead.kat import KatRecord
 from ascon_aead.permutation import (

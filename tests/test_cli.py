@@ -159,6 +159,45 @@ class TestEncrypt:
         assert out.read_bytes() == b"earlier contents"
         assert list(tmp_path.iterdir()) == [out]
 
+    def test_output_data_is_fsynced_before_the_rename(self, tmp_path, capsys, monkeypatch):
+        # POSIX does not order a file's data before its rename, so without the
+        # fsync a crash could leave the name on an empty or short file
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def record_fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def record_replace(src, dst):
+            calls.append(("replace", os.stat(src).st_ino))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        out = tmp_path / "ct.bin"
+        rc = run_cli("encrypt", "--key", KEY_HEX, "--nonce", NONCE_HEX,
+                     "--pt", "00" * 64, "--out", str(out))
+        assert rc == 0
+        assert [step for step, _ in calls] == ["fsync", "replace"]
+        assert calls[0][1] == calls[1][1] == out.stat().st_ino
+
+    def test_failed_fsync_exits_3_and_keeps_the_earlier_file(self, tmp_path, capsys, monkeypatch):
+        import errno
+
+        def fail(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", fail)
+        out = tmp_path / "ct.bin"
+        out.write_bytes(b"earlier contents")
+        rc = run_cli("encrypt", "--key", KEY_HEX, "--nonce", NONCE_HEX,
+                     "--pt", "00" * 64, "--out", str(out))
+        assert rc == 3
+        assert f"--out: cannot write {out}: Input/output error" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier contents"
+        assert list(tmp_path.iterdir()) == [out]
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
     def test_file_encrypt_peaks_at_two_copies_of_the_file(self, tmp_path):
         # The plaintext read and the ciphertext are two copies; writing the
